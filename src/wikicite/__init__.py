@@ -7,7 +7,7 @@ from .aggregate import (
     growth_report,
     merge,
     tally,
-    tally_pages,
+    tally_scans,
 )
 from .bibliometrics import (
     CorrelationResult,
@@ -36,8 +36,6 @@ from .dump_reader import (
 from .extractor import (
     CitationRecord,
     PageScan,
-    count_template_instances,
-    extract_citations,
     scan_page,
 )
 from .registry import (
@@ -50,7 +48,6 @@ from .registry import (
     near_misses,
     normalize_key,
     parse_registry,
-    resolve,
 )
 
 __version__ = "0.1.0"
@@ -75,8 +72,6 @@ __all__ = [
     "WikiPage",
     "combined_top_overlap",
     "correlate",
-    "count_template_instances",
-    "extract_citations",
     "filter_namespaces",
     "growth_report",
     "infer_namespace",
@@ -90,11 +85,10 @@ __all__ = [
     "open_dump",
     "parse_registry",
     "read_jcr_csv",
-    "resolve",
     "scan_page",
     "scatter_export",
     "tally",
-    "tally_pages",
+    "tally_scans",
     "tau_p_value",
     "topn_sweep",
 ]

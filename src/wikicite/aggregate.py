@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from typing import IO, Iterable
 
-from .dump_reader import WikiPage
-from .extractor import CitationRecord, scan_page
+from .extractor import CitationRecord, PageScan
 from .registry import JournalRegistry, ResolutionKind
 
 DEFAULT_UNKNOWN_CAP = 100_000
@@ -112,23 +111,23 @@ def tally(
     )
 
 
-def tally_pages(
-    pages: Iterable[WikiPage],
+def tally_scans(
+    scans: Iterable[PageScan],
     registry: JournalRegistry,
     *,
     unknown_cap: int = DEFAULT_UNKNOWN_CAP,
 ) -> CountTable:
-    """Scan and tally a page stream in a single pass."""
-    malformed = [0]
+    """Tally a stream of page scans, summing their malformed counts."""
+    malformed_total = 0
 
     def records():
-        for page in pages:
-            scan = scan_page(page)
-            malformed[0] += scan.malformed
+        nonlocal malformed_total
+        for scan in scans:
+            malformed_total += scan.malformed
             yield from scan.records
 
     table = tally(records(), registry, unknown_cap=unknown_cap)
-    return replace(table, malformed_total=malformed[0])
+    return replace(table, malformed_total=malformed_total)
 
 
 def merge(a: CountTable, b: CountTable) -> CountTable:

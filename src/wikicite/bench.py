@@ -20,8 +20,9 @@ import sys
 import threading
 import time
 
-from .aggregate import tally_pages
+from .aggregate import tally_scans
 from .dump_reader import filter_namespaces, open_dump
+from .extractor import scan_page
 from .fixtures import StreamingDumpSource
 from .registry import load_default_registry
 
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     sampler = _PeakRssSampler()
     sampler.start()
     started = time.perf_counter()
-    table = tally_pages(filter_namespaces(reader, {0}), registry)
+    table = tally_scans(map(scan_page, filter_namespaces(reader, {0})), registry)
     elapsed = time.perf_counter() - started
     peak_kb = sampler.stop()
 

@@ -172,18 +172,26 @@ def _tau_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
     return _TauStats(n, s, n0, n1, n2, x_tie_sizes, y_tie_sizes)
 
 
+def _checked_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
+    """Validated pair statistics of two lists that both have an ordering."""
+    _validate_pair(x, y)
+    stats = _tau_stats(x, y)
+    if (stats.n0 - stats.n1) * (stats.n0 - stats.n2) <= 0:
+        raise DegenerateInputError("a fully tied list has no rank ordering")
+    return stats
+
+
+def _tau_b(stats: _TauStats) -> float:
+    return stats.s / math.sqrt((stats.n0 - stats.n1) * (stats.n0 - stats.n2))
+
+
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-corrected Kendall rank correlation.
 
     tau-b = (C - D) / sqrt((n0 - n1)(n0 - n2)) with n0 = n(n-1)/2 and
     n1, n2 the tie-pair counts within each list.
     """
-    _validate_pair(x, y)
-    stats = _tau_stats(x, y)
-    denominator_sq = (stats.n0 - stats.n1) * (stats.n0 - stats.n2)
-    if denominator_sq <= 0:
-        raise DegenerateInputError("a fully tied list has no rank ordering")
-    return stats.s / math.sqrt(denominator_sq)
+    return _tau_b(_checked_stats(x, y))
 
 
 def _s_variance(stats: _TauStats) -> float:
@@ -224,23 +232,7 @@ def _exact_two_sided_p(stats: _TauStats) -> float:
     return hits / math.factorial(n)
 
 
-def tau_p_value(
-    x: Sequence[float], y: Sequence[float], method: str = "normal"
-) -> tuple[float, float]:
-    """Two-sided P-value and z score under the null of independence.
-
-    ``normal`` uses the normal approximation on C - D with tie-corrected
-    variance and a continuity correction of one (C - D moves in discrete
-    steps, and the correction keeps small-n values close to the exact
-    permutation distribution). ``exact`` enumerates all orderings; it
-    requires n <= 8 and no ties, and exists mainly to check the
-    approximation at small n. Either way p = erfc(|z| / sqrt(2)) holds for
-    the returned z under the normal convention.
-    """
-    _validate_pair(x, y)
-    stats = _tau_stats(x, y)
-    if (stats.n0 - stats.n1) * (stats.n0 - stats.n2) <= 0:
-        raise DegenerateInputError("a fully tied list has no rank ordering")
+def _p_value(stats: _TauStats, method: str) -> tuple[float, float]:
     variance = _s_variance(stats)
     if variance <= 0:
         raise DegenerateInputError("null variance is zero for this tie structure")
@@ -259,15 +251,33 @@ def tau_p_value(
     return p, z
 
 
+def tau_p_value(
+    x: Sequence[float], y: Sequence[float], method: str = "normal"
+) -> tuple[float, float]:
+    """Two-sided P-value and z score under the null of independence.
+
+    ``normal`` uses the normal approximation on C - D with tie-corrected
+    variance and a continuity correction of one (C - D moves in discrete
+    steps, and the correction keeps small-n values close to the exact
+    permutation distribution). ``exact`` enumerates all orderings; it
+    requires n <= 8 and no ties, and exists mainly to check the
+    approximation at small n. Either way p = erfc(|z| / sqrt(2)) holds for
+    the returned z under the normal convention.
+    """
+    return _p_value(_checked_stats(x, y), method)
+
+
 def correlate(
     x: Sequence[float],
     y: Sequence[float],
     series_name: str,
     method: str = "normal",
 ) -> CorrelationResult:
-    tau = kendall_tau_b(x, y)
-    p, z = tau_p_value(x, y, method=method)
-    return CorrelationResult(series_name=series_name, n=len(x), tau=tau, z=z, p_value=p)
+    stats = _checked_stats(x, y)
+    p, z = _p_value(stats, method)
+    return CorrelationResult(
+        series_name=series_name, n=stats.n, tau=_tau_b(stats), z=z, p_value=p
+    )
 
 
 # joining and sweeps -------------------------------------------------

@@ -1,9 +1,9 @@
 """Command-line pipeline: extract, count, correlate, growth, gen-fixture.
 
-Every stage reads and writes plain files so long runs can be resumed
-mid-pipeline, and every run drops a manifest.json recording input digests
-and the exact configuration. Outputs are byte-identical across repeated
-runs on identical inputs.
+Every stage reads and writes plain files so long runs can be resumed at
+stage boundaries, and every run drops a manifest.json recording input
+digests and the exact configuration. Outputs are byte-identical across
+repeated runs on identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error,
 3 data-insufficiency error.
@@ -18,7 +18,6 @@ import json
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -30,6 +29,7 @@ from .aggregate import (
     growth_report,
     read_counts_json,
     tally,
+    tally_scans,
     write_counts_csv,
     write_counts_json,
     write_unknown_csv,
@@ -53,9 +53,9 @@ from .registry import (
     JournalRegistry,
     RegistryLoadError,
     default_registry_text,
-    load_default_registry,
     load_registry,
     near_misses,
+    parse_registry,
 )
 
 EXIT_OK = 0
@@ -134,12 +134,13 @@ def _file_manifest_entry(path_arg: str) -> dict:
 def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]:
     if registry_arg is None:
         text = default_registry_text()
+        data = text.encode("utf-8")
         return (
-            load_default_registry(),
+            parse_registry(text.splitlines()),
             {
                 "path": "<builtin starter registry>",
-                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                "bytes": len(text.encode("utf-8")),
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "bytes": len(data),
             },
         )
     return load_registry(registry_arg), _file_manifest_entry(registry_arg)
@@ -183,13 +184,13 @@ def parse_sweep(spec: str) -> list[int]:
     return values
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, inputs: dict, outputs: list[str]
-) -> None:
+def _write_manifest(args, out_dir: Path, inputs: dict, outputs: list[str]) -> None:
+    """The run's configuration is every parsed option of its subcommand."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     manifest = {
         "tool": "wikicite",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": inputs,
         "outputs": sorted(outputs),
@@ -255,14 +256,8 @@ def cmd_extract(args) -> int:
         json.dump(summary, fp, indent=2, sort_keys=True)
         fp.write("\n")
     _write_manifest(
+        args,
         out_dir,
-        "extract",
-        {
-            "dump": args.dump,
-            "namespaces": args.namespaces,
-            "jobs": args.jobs,
-            "out": args.out,
-        },
         {"dump": dump_stream.manifest_entry()},
         ["citations.jsonl", "extract_summary.json"],
     )
@@ -278,12 +273,19 @@ def _count_table_from_args(args, registry: JournalRegistry) -> tuple[CountTable,
     """Build the count table from either a dump or an extract run."""
     inputs: dict = {}
     citations_path = getattr(args, "citations", None)
-    if citations_path:
+    if citations_path is not None:
         malformed_total = 0
         summary_path = Path(citations_path).with_name("extract_summary.json")
         if summary_path.exists():
             with open(summary_path, "r", encoding="utf-8") as fp:
-                malformed_total = int(json.load(fp).get("malformed_total", 0))
+                summary = json.load(fp)
+            malformed_total = (
+                summary.get("malformed_total") if isinstance(summary, dict) else None
+            )
+            if type(malformed_total) is not int or malformed_total < 0:
+                raise ValueError(
+                    f"{summary_path}: malformed_total must be a non-negative integer"
+                )
             inputs["extract_summary"] = _file_manifest_entry(str(summary_path))
         else:
             print(
@@ -299,15 +301,7 @@ def _count_table_from_args(args, registry: JournalRegistry) -> tuple[CountTable,
     namespaces = _parse_namespaces(args.namespaces)
     reader, dump_stream = _open_dump_arg(args.dump)
     pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
-    malformed_total = 0
-
-    def records():
-        nonlocal malformed_total
-        for scan in _scan_stream(pages, args.jobs):
-            malformed_total += scan.malformed
-            yield from scan.records
-
-    table = replace(tally(records(), registry), malformed_total=malformed_total)
+    table = tally_scans(_scan_stream(pages, args.jobs), registry)
     inputs["dump"] = dump_stream.manifest_entry()
     return table, inputs
 
@@ -337,21 +331,7 @@ def cmd_count(args) -> int:
             writer.writerows(hits)
         outputs.append("near_miss.csv")
 
-    _write_manifest(
-        out_dir,
-        "count",
-        {
-            "dump": args.dump,
-            "citations": args.citations,
-            "registry": args.registry,
-            "namespaces": args.namespaces,
-            "jobs": args.jobs,
-            "near_miss": args.near_miss,
-            "out": args.out,
-        },
-        inputs,
-        outputs,
-    )
+    _write_manifest(args, out_dir, inputs, outputs)
     print(
         f"count: templates={table.template_total} journals={len(table.counts)} "
         f"excluded={table.excluded_count} unknown={len(table.unknown)} "
@@ -367,7 +347,7 @@ def cmd_correlate(args) -> int:
 
     inputs: dict = {"registry": registry_entry}
     outputs: list[str] = []
-    if args.counts:
+    if args.counts is not None:
         with open(args.counts, "r", encoding="utf-8") as fp:
             table = read_counts_json(fp)
         inputs["counts"] = _file_manifest_entry(args.counts)
@@ -427,25 +407,7 @@ def cmd_correlate(args) -> int:
         fp.write("\n")
     outputs.extend(["correlations.csv", "scatter.csv", "overlap.csv", "join_audit.json"])
 
-    _write_manifest(
-        out_dir,
-        "correlate",
-        {
-            "counts": args.counts,
-            "dump": args.dump,
-            "jcr": args.jcr,
-            "registry": args.registry,
-            "namespaces": args.namespaces,
-            "sweep": args.sweep,
-            "labels": args.labels,
-            "overlap_k": args.overlap_k,
-            "overlap_m": args.overlap_m,
-            "jobs": args.jobs,
-            "out": args.out,
-        },
-        inputs,
-        outputs,
-    )
+    _write_manifest(args, out_dir, inputs, outputs)
     print(
         f"correlate: joined={n_joined} sweep_points={len(sweep)} "
         f"overlap({overlap_k},{overlap_m})={overlap}",
@@ -480,13 +442,7 @@ def cmd_growth(args) -> int:
         writer.writerow(["date", "template_total"])
         for when, total in series:
             writer.writerow([when.isoformat(), total])
-    _write_manifest(
-        out_dir,
-        "growth",
-        {"table": list(args.table), "out": args.out},
-        inputs,
-        ["growth.csv"],
-    )
+    _write_manifest(args, out_dir, inputs, ["growth.csv"])
     print(f"growth: points={len(series)}", file=sys.stderr)
     return EXIT_OK
 
@@ -507,10 +463,11 @@ def cmd_gen_fixture(args) -> int:
     with open(out_dir / "truth.json", "w", encoding="utf-8") as fp:
         json.dump(corpus.truth.as_json_dict(), fp, indent=2, sort_keys=True)
         fp.write("\n")
+    registry_text = default_registry_text()
     with open(out_dir / "registry.tsv", "w", encoding="utf-8") as fp:
-        fp.write(default_registry_text())
+        fp.write(registry_text)
 
-    registry = load_default_registry()
+    registry = parse_registry(registry_text.splitlines())
     scored = sorted(registry.canonical - registry.exclusions)
     with open(out_dir / "jcr.csv", "w", encoding="utf-8") as fp:
         writer = csv.writer(fp, lineterminator="\n")
@@ -519,20 +476,7 @@ def cmd_gen_fixture(args) -> int:
             writer.writerow([row[0], row[1], repr(row[2]), row[3]])
 
     _write_manifest(
-        out_dir,
-        "gen-fixture",
-        {
-            "pages": args.pages,
-            "citations": args.citations,
-            "nested": args.nested,
-            "decoys": args.decoys,
-            "malformed": args.malformed,
-            "no_journal": args.no_journal,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        {},
-        ["dump.xml", "truth.json", "registry.tsv", "jcr.csv"],
+        args, out_dir, {}, ["dump.xml", "truth.json", "registry.tsv", "jcr.csv"]
     )
     print(
         f"gen-fixture: pages={corpus.truth.page_count} "
@@ -554,10 +498,12 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"wikicite {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_dump(p, required=True):
-        p.add_argument(
+    def add_dump(p, inputs=None):
+        """``--dump`` and its scan options; with ``inputs``, a required
+        mutually exclusive group, the dump is one of the alternatives."""
+        (p if inputs is None else inputs).add_argument(
             "--dump",
-            required=required,
+            required=inputs is None,
             help="path to an uncompressed XML export dump, or - for stdin",
         )
         p.add_argument(
@@ -585,8 +531,9 @@ def build_parser() -> _Parser:
     p_extract.set_defaults(func=cmd_extract)
 
     p_count = sub.add_parser("count", help="tally citations per canonical journal")
-    add_dump(p_count, required=False)
-    p_count.add_argument(
+    count_inputs = p_count.add_mutually_exclusive_group(required=True)
+    add_dump(p_count, count_inputs)
+    count_inputs.add_argument(
         "--citations", default=None, help="citations.jsonl from a previous extract run"
     )
     add_registry(p_count)
@@ -601,8 +548,9 @@ def build_parser() -> _Parser:
     p_corr = sub.add_parser(
         "correlate", help="rank-correlate wiki counts against journal statistics"
     )
-    add_dump(p_corr, required=False)
-    p_corr.add_argument(
+    corr_inputs = p_corr.add_mutually_exclusive_group(required=True)
+    add_dump(p_corr, corr_inputs)
+    corr_inputs.add_argument(
         "--counts", default=None, help="counts.json from a previous count run"
     )
     add_registry(p_corr)
@@ -663,12 +611,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("a subcommand is required (see --help)")
-        if args.command in ("count", "correlate"):
-            staged = getattr(args, "citations", None) or getattr(args, "counts", None)
-            if args.dump is None and staged is None:
-                raise UsageError(f"{args.command} needs --dump or a prior stage's output")
-            if args.dump is not None and staged is not None:
-                raise UsageError(f"{args.command} takes --dump or {staged!r}, not both")
         return args.func(args)
     except UsageError as exc:
         print(f"wikicite: usage error: {exc}", file=sys.stderr)

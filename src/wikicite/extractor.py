@@ -197,17 +197,6 @@ def scan_page(page: WikiPage) -> PageScan:
     return PageScan(records=records, malformed=malformed, duplicate_params=duplicates)
 
 
-def extract_citations(page: WikiPage) -> list[CitationRecord]:
-    """Every ``cite journal`` invocation on the page, in document order."""
-    return scan_page(page).records
-
-
-def count_template_instances(pages: Iterable[WikiPage]) -> int:
-    """Total citation templates across all pages, with or without a
-    journal parameter."""
-    return sum(len(extract_citations(page)) for page in pages)
-
-
 def record_to_json(record: CitationRecord) -> str:
     """Serialize one record as a JSON object with fixed field order."""
     return json.dumps(

@@ -133,10 +133,6 @@ class JournalRegistry:
         return Resolution(ResolutionKind.CANONICAL, name)
 
 
-def resolve(raw: str, registry: JournalRegistry) -> Resolution:
-    return registry.resolve(raw)
-
-
 def _fingerprint(
     canonical: frozenset[str], aliases: dict[str, str], exclusions: frozenset[str]
 ) -> str:
@@ -205,19 +201,16 @@ def load_registry(path) -> JournalRegistry:
         return parse_registry(fp)
 
 
-def load_default_registry() -> JournalRegistry:
-    """The starter registry shipped with the package."""
-    text = (
-        resources.files(__package__).joinpath(DEFAULT_REGISTRY_RESOURCE).read_text("utf-8")
-    )
-    return parse_registry(text.splitlines())
-
-
 def default_registry_text() -> str:
     """Raw contents of the shipped starter registry file."""
     return (
         resources.files(__package__).joinpath(DEFAULT_REGISTRY_RESOURCE).read_text("utf-8")
     )
+
+
+def load_default_registry() -> JournalRegistry:
+    """The starter registry shipped with the package."""
+    return parse_registry(default_registry_text().splitlines())
 
 
 def near_misses(

@@ -23,7 +23,7 @@ from wikicite.aggregate import (
     CountTable,
     growth_report,
     merge,
-    tally_pages,
+    tally_scans,
 )
 from wikicite.bibliometrics import (
     SERIES_NAMES,
@@ -180,13 +180,13 @@ def test_c5_aggregation_conservation(acceptance_corpus, starter_registry):
     """Random partitions into 1..16 shards merge to exactly the single-pass
     table, field for field."""
     pages = acceptance_corpus.pages
-    whole = tally_pages(iter(pages), starter_registry)
+    whole = tally_scans(map(scan_page, pages), starter_registry)
     rng = random.Random(55)
     for shard_count in range(1, 17):
         shards = [[] for _ in range(shard_count)]
         for page in pages:
             shards[rng.randrange(shard_count)].append(page)
-        tables = [tally_pages(iter(shard), starter_registry) for shard in shards]
+        tables = [tally_scans(map(scan_page, shard), starter_registry) for shard in shards]
         rng.shuffle(tables)
         combined = CountTable.empty(starter_registry.fingerprint)
         for table in tables:
@@ -274,7 +274,7 @@ def test_c7_historical_dump_optional(starter_registry):
         else starter_registry
     )
     reader = _open_historical_dump(dump_path)
-    table = tally_pages(filter_namespaces(reader, {0}), registry)
+    table = tally_scans(map(scan_page, filter_namespaces(reader, {0})), registry)
 
     assert abs(table.template_total - 30368) <= 0.02 * 30368
 

@@ -12,13 +12,13 @@ from wikicite.aggregate import (
     merge,
     read_counts_json,
     tally,
-    tally_pages,
+    tally_scans,
     to_json_dict,
     write_counts_csv,
     write_counts_json,
 )
 from wikicite.dump_reader import WikiPage
-from wikicite.extractor import CitationRecord
+from wikicite.extractor import CitationRecord, scan_page
 
 
 def record(journal: str | None, title: str = "Page") -> CitationRecord:
@@ -114,12 +114,12 @@ def test_partition_conservation_small(starter_registry):
         if rng.random() < 0.2:
             bits.append("{{cite journal|journal=Gone")
         pages.append(WikiPage(f"P{i}", 0, " ".join(bits)))
-    whole = tally_pages(iter(pages), starter_registry)
+    whole = tally_scans(map(scan_page, pages), starter_registry)
     for shard_count in (1, 2, 3, 5, 8):
         shards = [[] for _ in range(shard_count)]
         for p in pages:
             shards[rng.randrange(shard_count)].append(p)
-        partial = [tally_pages(iter(s), starter_registry) for s in shards]
+        partial = [tally_scans(map(scan_page, s), starter_registry) for s in shards]
         rng.shuffle(partial)
         combined = CountTable.empty(starter_registry.fingerprint)
         for t in partial:
@@ -141,9 +141,9 @@ def test_tally_monotone_under_additional_records(starter_registry):
     assert after.template_total >= before.template_total
 
 
-def test_tally_pages_collects_malformed(starter_registry):
+def test_tally_scans_collects_malformed(starter_registry):
     pages = [WikiPage("A", 0, "{{cite journal|journal=Nature}} {{cite journal|lost")]
-    table = tally_pages(iter(pages), starter_registry)
+    table = tally_scans(map(scan_page, pages), starter_registry)
     assert table.malformed_total == 1
     assert table.counts == {"Nature": 1}
 

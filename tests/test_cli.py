@@ -172,6 +172,31 @@ class TestCount:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            "[]",
+            '"malformed_total"',
+            "{}",
+            '{"malformed_total": null}',
+            '{"malformed_total": true}',
+            '{"malformed_total": "3"}',
+            '{"malformed_total": 1.0}',
+            '{"malformed_total": -5}',
+            '{"malformed_total": 3',
+        ],
+    )
+    def test_bad_extract_summary_is_input_error(self, small_dump, tmp_path, summary):
+        extract_out = tmp_path / "extract"
+        main(["extract", "--dump", str(small_dump), "--out", str(extract_out)])
+        (extract_out / "extract_summary.json").write_text(summary, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["count", "--citations", str(extract_out / "citations.jsonl"), "--out", str(out)]
+        )
+        assert code == 2
+        assert not (out / "counts.json").exists()
+
     def test_near_miss_report(self, tmp_path):
         pages = [WikiPage("A", 0, "{{cite journal|journal=Nature Genetics}}")]
         dump = tmp_path / "dump.xml"
@@ -413,3 +438,56 @@ def test_manifest_written_and_stable(tmp_path):
     assert parsed["inputs"]["jcr"]["sha256"]
     assert main(args) == 0
     assert read(out / "manifest.json") == manifest_first
+
+
+def test_manifest_config_per_command(tmp_path, monkeypatch):
+    """Each command's manifest ``config`` holds exactly its parsed options."""
+    monkeypatch.chdir(tmp_path)
+
+    def config(argv):
+        assert main(argv) == 0
+        out = argv[argv.index("--out") + 1]
+        return json.loads(read(tmp_path / out / "manifest.json"))["config"]
+
+    assert config(
+        ["gen-fixture", "--pages", "20", "--citations", "100", "--out", "fx"]
+    ) == {
+        "citations": 100, "decoys": 30, "malformed": 20, "nested": 50,
+        "no_journal": 30, "out": "fx", "pages": 20, "seed": 20070402,
+    }
+    assert config(
+        ["extract", "--dump", "fx/dump.xml", "--namespaces", "all", "--out", "ex"]
+    ) == {"dump": "fx/dump.xml", "jobs": 1, "namespaces": "all", "out": "ex"}
+    assert config(
+        ["count", "--citations", "ex/citations.jsonl", "--registry", "fx/registry.tsv",
+         "--out", "c1"]
+    ) == {
+        "citations": "ex/citations.jsonl", "dump": None, "jobs": 1, "namespaces": "0",
+        "near_miss": False, "out": "c1", "registry": "fx/registry.tsv",
+    }
+    assert config(
+        ["count", "--dump", "fx/dump.xml", "--jobs", "2", "--near-miss", "--out", "c2"]
+    ) == {
+        "citations": None, "dump": "fx/dump.xml", "jobs": 2, "namespaces": "0",
+        "near_miss": True, "out": "c2", "registry": None,
+    }
+    assert config(
+        ["correlate", "--counts", "c1/counts.json", "--registry", "fx/registry.tsv",
+         "--jcr", "fx/jcr.csv", "--out", "r1"]
+    ) == {
+        "counts": "c1/counts.json", "dump": None, "jcr": "fx/jcr.csv", "jobs": 1,
+        "labels": 100, "namespaces": "0", "out": "r1", "overlap_k": None,
+        "overlap_m": None, "registry": "fx/registry.tsv", "sweep": None,
+    }
+    assert config(
+        ["correlate", "--dump", "fx/dump.xml", "--jcr", "fx/jcr.csv", "--sweep", "2..4",
+         "--labels", "3", "--overlap-k", "2", "--out", "r2"]
+    ) == {
+        "counts": None, "dump": "fx/dump.xml", "jcr": "fx/jcr.csv", "jobs": 1,
+        "labels": 3, "namespaces": "0", "out": "r2", "overlap_k": 2,
+        "overlap_m": None, "registry": None, "sweep": "2..4",
+    }
+    assert config(
+        ["growth", "--table", "2006-01-01=c1/counts.json",
+         "--table", "2007-01-01=c2/counts.json", "--out", "g"]
+    ) == {"out": "g", "table": ["2006-01-01=c1/counts.json", "2007-01-01=c2/counts.json"]}

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicite.aggregate import tally_scans
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
-    count_template_instances,
-    extract_citations,
     read_jsonl,
     record_to_json,
     scan_page,
@@ -21,7 +20,7 @@ def page(text: str, title: str = "Test") -> WikiPage:
 
 
 def test_basic_record():
-    records = extract_citations(page("{{cite journal | journal = Nature | title = X}}"))
+    records = scan_page(page("{{cite journal | journal = Nature | title = X}}")).records
     assert len(records) == 1
     rec = records[0]
     assert rec.params == {"journal": "Nature", "title": "X"}
@@ -32,7 +31,7 @@ def test_basic_record():
 
 def test_span_slices_to_braces():
     text = "before {{cite journal|journal=Nature}} after"
-    (rec,) = extract_citations(page(text))
+    (rec,) = scan_page(page(text)).records
     start, end = rec.span
     assert text[start:end].startswith("{{")
     assert text[start:end].endswith("}}")
@@ -40,36 +39,36 @@ def test_span_slices_to_braces():
 
 
 def test_nested_template_kept_verbatim_in_value():
-    (rec,) = extract_citations(
+    (rec,) = scan_page(
         page("{{Cite journal|journal=Science|author={{aut|Smith}}}}")
-    )
+    ).records
     assert rec.params["author"] == "{{aut|Smith}}"
     assert rec.params["journal"] == "Science"
     assert rec.template_name_raw == "Cite journal"
 
 
 def test_no_templates():
-    assert extract_citations(page("text with no templates")) == []
+    assert scan_page(page("text with no templates")).records == []
 
 
 def test_comment_wrapped_template_ignored():
-    assert extract_citations(page("<!-- {{cite journal|journal=Fake}} -->")) == []
+    assert scan_page(page("<!-- {{cite journal|journal=Fake}} -->")).records == []
 
 
 def test_nowiki_span_ignored():
-    assert extract_citations(page("<nowiki>{{cite journal|journal=Fake}}</nowiki>")) == []
+    assert scan_page(page("<nowiki>{{cite journal|journal=Fake}}</nowiki>")).records == []
 
 
 def test_unclosed_comment_hides_rest_of_page():
     text = "visible {{cite journal|journal=Nature}} <!-- {{cite journal|journal=Hidden}}"
-    (rec,) = extract_citations(page(text))
+    (rec,) = scan_page(page(text)).records
     assert rec.journal_raw == "Nature"
 
 
 def test_comment_inside_value_stays_raw_but_journal_is_cleaned():
-    (rec,) = extract_citations(
+    (rec,) = scan_page(
         page("{{cite journal|journal=Nature<!--checked-->|title=T}}")
-    )
+    ).records
     assert "<!--checked-->" in rec.params["journal"]
     assert rec.journal_raw == "Nature"
 
@@ -78,27 +77,27 @@ def test_comment_inside_value_stays_raw_but_journal_is_cleaned():
     "name", ["cite journal", "Cite journal", "cite_journal", "Cite_journal"]
 )
 def test_template_name_matches(name):
-    assert len(extract_citations(page("{{%s|journal=X}}" % name))) == 1
+    assert len(scan_page(page("{{%s|journal=X}}" % name)).records) == 1
 
 
 @pytest.mark.parametrize(
     "name", ["citejournal", "cite book", "CITE JOURNAL", "Cite Journal", "cite journals"]
 )
 def test_template_name_rejects(name):
-    assert extract_citations(page("{{%s|journal=X}}" % name)) == []
+    assert scan_page(page("{{%s|journal=X}}" % name)).records == []
 
 
 def test_templates_inside_ref_found():
-    (rec,) = extract_citations(
+    (rec,) = scan_page(
         page("prose<ref>{{cite journal|journal=Nature|title=T}}</ref>more")
-    )
+    ).records
     assert rec.journal_raw == "Nature"
 
 
 def test_nested_citation_inside_other_template_found():
-    records = extract_citations(
+    records = scan_page(
         page("{{refbegin|refs={{cite journal|journal=Nature}}}}")
-    )
+    ).records
     assert [r.journal_raw for r in records] == ["Nature"]
 
 
@@ -109,27 +108,27 @@ def test_duplicate_parameter_keeps_last_value_and_is_tallied():
 
 
 def test_positional_parameters_are_numbered():
-    (rec,) = extract_citations(page("{{cite journal|Nature|second|journal=Icarus}}"))
+    (rec,) = scan_page(page("{{cite journal|Nature|second|journal=Icarus}}")).records
     assert rec.params == {"1": "Nature", "2": "second", "journal": "Icarus"}
 
 
 def test_parameter_map_preserves_appearance_order():
-    (rec,) = extract_citations(
+    (rec,) = scan_page(
         page("{{cite journal|year=1999|journal=Nature|title=T|author=A}}")
-    )
+    ).records
     assert list(rec.params) == ["year", "journal", "title", "author"]
 
 
 def test_parameter_names_lowercased_and_stripped():
-    (rec,) = extract_citations(page("{{cite journal| Journal = Nature }}"))
+    (rec,) = scan_page(page("{{cite journal| Journal = Nature }}")).records
     assert "journal" in rec.params
     assert rec.journal_raw == "Nature"
 
 
 def test_pipe_inside_wiki_link_does_not_split():
-    (rec,) = extract_citations(
+    (rec,) = scan_page(
         page("{{cite journal|journal=[[Nature (journal)|Nature]]|title=T}}")
-    )
+    ).records
     assert rec.params["journal"] == "[[Nature (journal)|Nature]]"
     assert rec.journal_raw == "Nature"
 
@@ -145,13 +144,13 @@ def test_pipe_inside_wiki_link_does_not_split():
     ],
 )
 def test_journal_markup_reduction(value, expected):
-    (rec,) = extract_citations(page("{{cite journal|journal=%s}}" % value))
+    (rec,) = scan_page(page("{{cite journal|journal=%s}}" % value)).records
     assert rec.journal_raw == expected
 
 
 @pytest.mark.parametrize("value", ["", "   ", "<!--only a comment-->", "''''"])
 def test_effectively_empty_journal_means_absent(value):
-    (rec,) = extract_citations(page("{{cite journal|journal=%s|title=T}}" % value))
+    (rec,) = scan_page(page("{{cite journal|journal=%s|title=T}}" % value)).records
     assert rec.journal_raw is None
 
 
@@ -181,13 +180,13 @@ def test_triple_braces_do_not_crash():
 def test_concatenation_property():
     a = "x {{cite journal|journal=Nature}} y"
     b = "{{cite journal|journal=Science}} z"
-    separate = extract_citations(page(a, "A")) + extract_citations(page(b, "B"))
+    separate = scan_page(page(a, "A")).records + scan_page(page(b, "B")).records
     assert [r.journal_raw for r in separate] == ["Nature", "Science"]
 
 
 def test_records_in_document_order():
     text = "{{cite journal|journal=A1}} .. {{cite journal|journal=B2}} .. {{cite journal|journal=C3}}"
-    records = extract_citations(page(text))
+    records = scan_page(page(text)).records
     assert [r.journal_raw for r in records] == ["A1", "B2", "C3"]
     assert records[0].span[0] < records[1].span[0] < records[2].span[0]
 
@@ -197,7 +196,7 @@ def _reparse_full_slice(text: str, rec):
     start, end = rec.span
     matches = [
         r
-        for r in extract_citations(page(text[start:end], "Test"))
+        for r in scan_page(page(text[start:end], "Test")).records
         if r.span == (0, end - start)
     ]
     assert len(matches) == 1
@@ -210,7 +209,7 @@ def test_span_fidelity_reparse():
         "{{cite journal|journal=[[Nature (journal)|Nature]]|author={{aut|A}}|title=T<!--n-->}}\n"
         "tail {{cite journal|dangling"
     )
-    records = extract_citations(page(text))
+    records = scan_page(page(text)).records
     assert len(records) == 1
     for rec in records:
         re_rec = _reparse_full_slice(text, rec)
@@ -219,20 +218,23 @@ def test_span_fidelity_reparse():
         assert re_rec.template_name_raw == rec.template_name_raw
 
 
-def test_count_template_instances_empty_and_planted():
-    assert count_template_instances([]) == 0
+def test_template_instances_empty_and_planted(starter_registry):
+    def template_total(pages):
+        return tally_scans(map(scan_page, pages), starter_registry).template_total
+
+    assert template_total([]) == 0
     pages = [
         page("{{cite journal|journal=A}} {{cite journal|title=no journal}}", "P1"),
         page("{{cite journal|journal=B}} {{cite_journal|journal=C}} {{cite book|title=x}}", "P2"),
         page("<ref>{{Cite journal|journal=D}}</ref> {{cite journal|journal=E}} {{cite journal|journal=F}}", "P3"),
     ]
-    assert count_template_instances(pages) == 7
+    assert template_total(pages) == 7
 
 
 def test_jsonl_roundtrip_and_field_order():
-    records = extract_citations(
+    records = scan_page(
         page("{{cite journal|journal=Nature|title=T}} {{cite journal|title=only}}")
-    )
+    ).records
     line = record_to_json(records[0])
     keys = list(json.loads(line).keys())
     assert keys == ["page_title", "template_name_raw", "params", "journal_raw", "span"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicite import bibliometrics
 from wikicite.bibliometrics import (
     DegenerateInputError,
     correlate,
@@ -121,6 +122,33 @@ class TestPValue:
         assert result.n == 4
         assert -1 <= result.tau <= 1
         assert 0 <= result.p_value <= 1
+
+    def test_correlate_computes_pair_stats_once(self, monkeypatch):
+        calls = []
+        original = bibliometrics._tau_stats
+
+        def counting(x, y):
+            calls.append(len(x))
+            return original(x, y)
+
+        monkeypatch.setattr(bibliometrics, "_tau_stats", counting)
+        correlate([1, 2, 2, 4, 5], [3, 1, 2, 2, 5], "articles")
+        assert calls == [5]
+
+    def test_correlate_equals_separate_calls_on_tied_inputs(self):
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(300):
+            n = rng.randrange(2, 30)
+            x = [rng.randrange(5) for _ in range(n)]
+            y = [rng.randrange(5) for _ in range(n)]
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            result = correlate(x, y, "combined")
+            p, z = tau_p_value(x, y)
+            assert (result.tau, result.z, result.p_value) == (kendall_tau_b(x, y), z, p)
+            checked += 1
+        assert checked > 200
 
 
 def test_scipy_cross_check_tau():

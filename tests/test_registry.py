@@ -9,7 +9,6 @@ from wikicite.registry import (
     near_misses,
     normalize_key,
     parse_registry,
-    resolve,
 )
 
 
@@ -48,7 +47,7 @@ def test_resolve_own_key_with_markup_noise(starter_registry):
 
 
 def test_resolve_excluded(starter_registry):
-    res = resolve("Scientific American", starter_registry)
+    res = starter_registry.resolve("Scientific American")
     assert res.kind is ResolutionKind.EXCLUDED
     assert res.name == "Scientific American"
 
