@@ -185,23 +185,49 @@ def to_json_dict(table: CountTable) -> dict:
     }
 
 
+def _count(value, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"corrupt count table: {what} must be a non-negative integer")
+    return value
+
+
+def _tallies(obj, what: str) -> dict[str, int]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"corrupt count table: {what} must be an object")
+    for name, value in obj.items():
+        if not isinstance(name, str):
+            raise ValueError(f"corrupt count table: {what} key {name!r} is not a string")
+        _count(value, f"{what}[{name!r}]")
+    return dict(obj)
+
+
 def from_json_dict(obj) -> CountTable:
+    """Parse a counts document, rejecting anything :func:`to_json_dict`
+    could not have written: non-string keys, counts that are not
+    non-negative integers, and derived fields that disagree with the tallies.
+    """
     if not isinstance(obj, dict) or obj.get("format") != COUNTS_FORMAT:
         raise ValueError(f"not a {COUNTS_FORMAT} document")
     try:
         table = CountTable(
-            counts={str(k): int(v) for k, v in obj["counts"].items()},
-            excluded_count=int(obj["excluded_count"]),
-            unknown={str(k): int(v) for k, v in obj["unknown"].items()},
-            unknown_overflow=int(obj.get("unknown_overflow", 0)),
-            template_total=int(obj["template_total"]),
-            malformed_total=int(obj["malformed_total"]),
+            counts=_tallies(obj["counts"], "counts"),
+            excluded_count=_count(obj["excluded_count"], "excluded_count"),
+            unknown=_tallies(obj["unknown"], "unknown"),
+            unknown_overflow=_count(obj.get("unknown_overflow", 0), "unknown_overflow"),
+            template_total=_count(obj["template_total"], "template_total"),
+            malformed_total=_count(obj["malformed_total"], "malformed_total"),
             registry_fingerprint=str(obj["registry_fingerprint"]),
         )
-    except (KeyError, AttributeError, TypeError) as exc:
-        raise ValueError(f"corrupt count table: {exc}") from None
+        stored_no_journal = _count(obj["no_journal_count"], "no_journal_count")
+    except KeyError as exc:
+        raise ValueError(f"corrupt count table: missing {exc}") from None
     if table.no_journal_count < 0:
         raise ValueError("corrupt count table: tallies exceed template_total")
+    if stored_no_journal != table.no_journal_count:
+        raise ValueError(
+            f"corrupt count table: no_journal_count {stored_no_journal} disagrees "
+            f"with the tallies ({table.no_journal_count})"
+        )
     return table
 
 

@@ -12,7 +12,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .aggregate import CountTable, RegistryMismatchError
 from .registry import JournalRegistry, ResolutionKind
@@ -79,15 +79,46 @@ class JoinResult:
 # Kendall tau-b ------------------------------------------------------
 
 
+class _TieSums(NamedTuple):
+    """Sums over the tie groups of one list, t being a group's size."""
+
+    pairs: int  # sum t(t-1)/2: the tied pairs
+    v: int  # sum t(t-1)(2t+5)
+    v1: int  # sum t(t-1)
+    v2: int  # sum t(t-1)(t-2)
+
+    @classmethod
+    def of(cls, sizes: Sequence[int]) -> "_TieSums":
+        return cls(
+            sum(t * (t - 1) // 2 for t in sizes),
+            sum(t * (t - 1) * (2 * t + 5) for t in sizes),
+            sum(t * (t - 1) for t in sizes),
+            sum(t * (t - 1) * (t - 2) for t in sizes),
+        )
+
+    def joined(self, t: int) -> "_TieSums":
+        """The sums once one more value joins a tie group of ``t``: each
+        gains its term at t + 1 minus its term at t."""
+        return _TieSums(
+            self.pairs + t, self.v + 6 * t * (t + 2), self.v1 + 2 * t, self.v2 + 3 * t * (t - 1)
+        )
+
+
 @dataclass(frozen=True)
 class _TauStats:
     n: int
     s: int  # concordant minus discordant pairs
-    n0: int  # n(n-1)/2
-    n1: int  # tie pairs within x
-    n2: int  # tie pairs within y
-    x_tie_sizes: tuple[int, ...]
-    y_tie_sizes: tuple[int, ...]
+    x_ties: _TieSums
+    y_ties: _TieSums
+
+    @property
+    def n0(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    @property
+    def denominator(self) -> int:
+        """(n0 - n1)(n0 - n2), n1 and n2 the tied pairs within x and y."""
+        return (self.n0 - self.x_ties.pairs) * (self.n0 - self.y_ties.pairs)
 
 
 def _validate_pair(x: Sequence[float], y: Sequence[float]) -> None:
@@ -147,10 +178,6 @@ def _run_sizes(sorted_values: Iterable) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _pair_sum(sizes: Iterable[int]) -> int:
-    return sum(t * (t - 1) // 2 for t in sizes)
-
-
 def _tau_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
     """Pair statistics via sort-and-count rather than pair enumeration.
 
@@ -160,29 +187,28 @@ def _tau_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
     """
     n = len(x)
     pairs = sorted(zip(x, y))
-    ys = [p[1] for p in pairs]
-    discordant = _inversions(ys)
-    x_tie_sizes = _run_sizes(p[0] for p in pairs)
-    y_tie_sizes = _run_sizes(sorted(y))
-    joint_ties = _pair_sum(_run_sizes(pairs))
-    n0 = n * (n - 1) // 2
-    n1 = _pair_sum(x_tie_sizes)
-    n2 = _pair_sum(y_tie_sizes)
-    s = n0 - n1 - n2 + joint_ties - 2 * discordant
-    return _TauStats(n, s, n0, n1, n2, x_tie_sizes, y_tie_sizes)
+    discordant = _inversions([p[1] for p in pairs])
+    x_ties = _TieSums.of(_run_sizes(p[0] for p in pairs))
+    y_ties = _TieSums.of(_run_sizes(sorted(y)))
+    joint_ties = sum(t * (t - 1) // 2 for t in _run_sizes(pairs))
+    s = n * (n - 1) // 2 - x_ties.pairs - y_ties.pairs + joint_ties - 2 * discordant
+    return _TauStats(n, s, x_ties, y_ties)
+
+
+def _require_ordering(stats: _TauStats) -> _TauStats:
+    if stats.denominator <= 0:
+        raise DegenerateInputError("a fully tied list has no rank ordering")
+    return stats
 
 
 def _checked_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
     """Validated pair statistics of two lists that both have an ordering."""
     _validate_pair(x, y)
-    stats = _tau_stats(x, y)
-    if (stats.n0 - stats.n1) * (stats.n0 - stats.n2) <= 0:
-        raise DegenerateInputError("a fully tied list has no rank ordering")
-    return stats
+    return _require_ordering(_tau_stats(x, y))
 
 
 def _tau_b(stats: _TauStats) -> float:
-    return stats.s / math.sqrt((stats.n0 - stats.n1) * (stats.n0 - stats.n2))
+    return stats.s / math.sqrt(stats.denominator)
 
 
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
@@ -197,19 +223,12 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
 def _s_variance(stats: _TauStats) -> float:
     """Null variance of C - D with the standard tie correction."""
     n = stats.n
-    t = stats.x_tie_sizes
-    u = stats.y_tie_sizes
-    vt = sum(a * (a - 1) * (2 * a + 5) for a in t)
-    vu = sum(a * (a - 1) * (2 * a + 5) for a in u)
-    variance = (n * (n - 1) * (2 * n + 5) - vt - vu) / 18.0
+    t = stats.x_ties
+    u = stats.y_ties
+    variance = (n * (n - 1) * (2 * n + 5) - t.v - u.v) / 18.0
     if n > 2:
-        variance += (
-            sum(a * (a - 1) * (a - 2) for a in t)
-            * sum(a * (a - 1) * (a - 2) for a in u)
-        ) / (9.0 * n * (n - 1) * (n - 2))
-    variance += (
-        sum(a * (a - 1) for a in t) * sum(a * (a - 1) for a in u)
-    ) / (2.0 * n * (n - 1))
+        variance += (t.v2 * u.v2) / (9.0 * n * (n - 1) * (n - 2))
+    variance += (t.v1 * u.v1) / (2.0 * n * (n - 1))
     return variance
 
 
@@ -243,7 +262,7 @@ def _p_value(stats: _TauStats, method: str) -> tuple[float, float]:
     elif method == "exact":
         if stats.n > MAX_EXACT_N:
             raise ValueError(f"exact method supports n <= {MAX_EXACT_N}")
-        if stats.n1 or stats.n2:
+        if stats.x_ties.pairs or stats.y_ties.pairs:
             raise ValueError("exact method requires tie-free lists")
         p = _exact_two_sided_p(stats)
     else:
@@ -267,17 +286,20 @@ def tau_p_value(
     return _p_value(_checked_stats(x, y), method)
 
 
+def _result(stats: _TauStats, series_name: str, method: str) -> CorrelationResult:
+    p, z = _p_value(stats, method)
+    return CorrelationResult(
+        series_name=series_name, n=stats.n, tau=_tau_b(stats), z=z, p_value=p
+    )
+
+
 def correlate(
     x: Sequence[float],
     y: Sequence[float],
     series_name: str,
     method: str = "normal",
 ) -> CorrelationResult:
-    stats = _checked_stats(x, y)
-    p, z = _p_value(stats, method)
-    return CorrelationResult(
-        series_name=series_name, n=stats.n, tau=_tau_b(stats), z=z, p_value=p
-    )
+    return _result(_checked_stats(x, y), series_name, method)
 
 
 # joining and sweeps -------------------------------------------------
@@ -345,20 +367,90 @@ def join(
     )
 
 
+_SERIES_GETTERS = {
+    "total_citations": lambda m: float(m.jcr.total_citations),
+    "impact_factor": lambda m: m.jcr.impact_factor,
+    "articles": lambda m: float(m.jcr.articles),
+    "combined": lambda m: m.combined,
+}
+
+
+def _series_getter(series_name: str):
+    getter = _SERIES_GETTERS.get(series_name)
+    if getter is None:
+        raise ValueError(f"unknown series {series_name!r}")
+    return getter
+
+
 def series_values(metrics: JournalMetrics, series_name: str) -> float:
-    if series_name == "total_citations":
-        return float(metrics.jcr.total_citations)
-    if series_name == "impact_factor":
-        return metrics.jcr.impact_factor
-    if series_name == "articles":
-        return float(metrics.jcr.articles)
-    if series_name == "combined":
-        return metrics.combined
-    raise ValueError(f"unknown series {series_name!r}")
+    return _series_getter(series_name)(metrics)
 
 
 def _by_wiki_count(metrics: Iterable[JournalMetrics]) -> list[JournalMetrics]:
     return sorted(metrics, key=lambda m: (-m.wiki_count, m.journal))
+
+
+def _fenwick_add(tree: list[int], i: int) -> None:
+    while i < len(tree):
+        tree[i] += 1
+        i += i & -i
+
+
+def _fenwick_prefix(tree: list[int], i: int) -> int:
+    """How many values of rank 1..i the tree holds."""
+    total = 0
+    while i:
+        total += tree[i]
+        i &= i - 1
+    return total
+
+
+def _prefix_stats(
+    x: Sequence[float], y: Sequence[float], sizes: Iterable[int]
+) -> dict[int, _TauStats]:
+    """Pair statistics of ``x[:n], y[:n]`` for each n in ``sizes``, from one
+    walk over the two lists; ``x`` must be non-increasing and every value
+    finite.
+
+    The value at position j adds to C - D the earlier values with a strictly
+    larger x and a larger y, minus those with a smaller y. A Fenwick tree
+    over y ranks (Fenwick 1994) holds the earlier values, and two prefix
+    queries count both sets; the current run of tied x stays out of the tree
+    until x changes. The tie sums grow as running integers (the incremental
+    form of Christensen 2005), so each prefix costs O(log n) and every
+    statistic stays the exact integer that :func:`_tau_stats` would give.
+    The largest requested prefix is checked against :func:`_tau_stats`.
+    """
+    wanted = set(sizes)
+    if not wanted:
+        return {}
+    last = max(wanted)
+    rank = {value: r for r, value in enumerate(sorted(set(y[:last])), start=1)}
+    tree = [0] * (len(rank) + 1)
+    tie_run: list[int] = []  # y ranks of the current run of tied x
+    y_group: dict[int, int] = {}  # members so far per y rank
+    x_ties = y_ties = _TieSums(0, 0, 0, 0)
+    s = 0
+    out: dict[int, _TauStats] = {}
+    for n, (x_value, y_value) in enumerate(zip(x[:last], y[:last]), start=1):
+        if n > 1 and x_value != x[n - 2]:
+            for r in tie_run:
+                _fenwick_add(tree, r)
+            tie_run.clear()
+        r = rank[y_value]
+        in_tree = n - 1 - len(tie_run)
+        not_above = _fenwick_prefix(tree, r)
+        s += (in_tree - not_above) - _fenwick_prefix(tree, r - 1)
+        x_ties = x_ties.joined(len(tie_run))
+        tie_run.append(r)
+        t = y_group.get(r, 0)
+        y_ties = y_ties.joined(t)
+        y_group[r] = t + 1
+        if n in wanted:
+            out[n] = _TauStats(n, s, x_ties, y_ties)
+    if out[last] != _tau_stats(x[:last], y[:last]):
+        raise RuntimeError(f"incremental sweep disagrees with sort-and-count at n={last}")
+    return out
 
 
 def topn_sweep(
@@ -368,19 +460,33 @@ def topn_sweep(
     method: str = "normal",
 ) -> list[CorrelationResult]:
     """Correlate wiki counts against one series for the N most wiki-cited
-    journals, for each N. Ties in wiki_count break by name, ascending."""
+    journals, for each N. Ties in wiki_count break by name, ascending.
+
+    One O(N log N) walk down the ranked journals yields every prefix's pair
+    statistics (see :func:`_prefix_stats`), rather than a sort-and-count per
+    prefix. Each N gives the same result, or raises the same error, as
+    :func:`correlate` on that prefix; the first N in ``n_values`` order that
+    fails raises.
+    """
     out_of_range = [n for n in n_values if n < 2 or n > len(metrics)]
     if out_of_range:
         raise ValueError(
             f"sweep sizes out of range (2..{len(metrics)}): {out_of_range}"
         )
-    ranked = _by_wiki_count(metrics)
+    if not n_values:
+        return []
+    getter = _series_getter(series_name)
+    top = _by_wiki_count(metrics)[: max(n_values)]
+    x = [float(m.wiki_count) for m in top]
+    y = [getter(m) for m in top]
+    # x holds whole counts, so only y can be non-finite
+    finite = next((i for i, value in enumerate(y) if not math.isfinite(value)), len(y))
+    stats = _prefix_stats(x, y, [n for n in n_values if n <= finite])
     results = []
     for n in n_values:
-        top = ranked[:n]
-        x = [float(m.wiki_count) for m in top]
-        y = [series_values(m, series_name) for m in top]
-        results.append(correlate(x, y, series_name, method=method))
+        if n > finite:
+            raise ValueError("values must be finite")
+        results.append(_result(_require_ordering(stats[n]), series_name, method))
     return results
 
 

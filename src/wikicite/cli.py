@@ -269,23 +269,25 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _summary_count(summary, key: str, summary_path: Path) -> int:
+    value = summary.get(key) if isinstance(summary, dict) else None
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{summary_path}: {key} must be a non-negative integer")
+    return value
+
+
 def _count_table_from_args(args, registry: JournalRegistry) -> tuple[CountTable, dict]:
     """Build the count table from either a dump or an extract run."""
     inputs: dict = {}
     citations_path = getattr(args, "citations", None)
     if citations_path is not None:
-        malformed_total = 0
+        malformed_total, expected_records = 0, None
         summary_path = Path(citations_path).with_name("extract_summary.json")
         if summary_path.exists():
             with open(summary_path, "r", encoding="utf-8") as fp:
                 summary = json.load(fp)
-            malformed_total = (
-                summary.get("malformed_total") if isinstance(summary, dict) else None
-            )
-            if type(malformed_total) is not int or malformed_total < 0:
-                raise ValueError(
-                    f"{summary_path}: malformed_total must be a non-negative integer"
-                )
+            malformed_total = _summary_count(summary, "malformed_total", summary_path)
+            expected_records = _summary_count(summary, "records", summary_path)
             inputs["extract_summary"] = _file_manifest_entry(str(summary_path))
         else:
             print(
@@ -295,6 +297,11 @@ def _count_table_from_args(args, registry: JournalRegistry) -> tuple[CountTable,
             )
         with open(citations_path, "r", encoding="utf-8") as fp:
             table = tally(read_jsonl(fp), registry, malformed_total=malformed_total)
+        if expected_records is not None and table.template_total != expected_records:
+            raise ValueError(
+                f"{citations_path} holds {table.template_total} records but "
+                f"{summary_path} says {expected_records}: truncated or stale"
+            )
         inputs["citations"] = _file_manifest_entry(citations_path)
         return table, inputs
 

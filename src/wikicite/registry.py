@@ -217,17 +217,23 @@ def near_misses(
     unknown: Iterable[str], registry: JournalRegistry, min_prefix: int = 6
 ) -> list[tuple[str, str]]:
     """Curation hints: unknown strings whose normalized key shares a long
-    prefix with a registered key. Never applied automatically."""
+    prefix with a registered key. Never applied automatically.
+
+    A hit needs both keys at least ``min_prefix`` long and equal in their
+    first ``min_prefix`` characters, so the registry keys are bucketed by
+    that prefix once and each unknown string costs one lookup. Hits come in
+    order of the unknown string, then of the registry key.
+    """
+    buckets: dict[str, list[str]] = {}
+    for key in sorted(registry.key_to_name):
+        if len(key) >= min_prefix:
+            buckets.setdefault(key[:min_prefix], []).append(key)
     hits: list[tuple[str, str]] = []
-    keys = sorted(registry.key_to_name)
     for raw in sorted(set(unknown)):
         raw_key = normalize_key(raw)
-        if not raw_key:
+        if not raw_key or len(raw_key) < min_prefix:
             continue
-        for key in keys:
-            if key == raw_key:
-                continue
-            prefix = min(len(key), len(raw_key), min_prefix)
-            if prefix >= min_prefix and key[:prefix] == raw_key[:prefix]:
+        for key in buckets.get(raw_key[:min_prefix], ()):
+            if key != raw_key:
                 hits.append((raw, registry.key_to_name[key]))
     return hits

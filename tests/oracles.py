@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from wikicite.registry import normalize_key
+
 
 def brute_pair_counts(x, y) -> tuple[int, int, int]:
     """(C - D, n0 - n1, n0 - n2) by walking every pair."""
@@ -45,3 +47,20 @@ def exact_p_by_enumeration(x, y) -> float:
         if abs(brute_pair_counts(x, perm)[0]) >= abs(s_obs):
             hits += 1
     return hits / total
+
+
+def near_misses_by_pairs(unknown, registry, min_prefix=6):
+    """Near-miss hints by comparing every unknown key with every registry key."""
+    hits = []
+    keys = sorted(registry.key_to_name)
+    for raw in sorted(set(unknown)):
+        raw_key = normalize_key(raw)
+        if not raw_key:
+            continue
+        for key in keys:
+            if key == raw_key:
+                continue
+            prefix = min(len(key), len(raw_key), min_prefix)
+            if prefix >= min_prefix and key[:prefix] == raw_key[:prefix]:
+                hits.append((raw, registry.key_to_name[key]))
+    return hits

@@ -206,6 +206,47 @@ def test_json_rejects_corrupt_tallies():
         from_json_dict(obj)
 
 
+@pytest.mark.parametrize("field", ["counts", "unknown"])
+@pytest.mark.parametrize("value", [3.7, "12", -5, True, None])
+def test_json_rejects_non_count_values(field, value):
+    obj = to_json_dict(CountTable.empty("fp"))
+    obj[field] = {"Nature": value}
+    with pytest.raises(ValueError, match="corrupt"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("field", ["counts", "unknown"])
+def test_json_rejects_non_string_keys(field):
+    obj = to_json_dict(CountTable.empty("fp"))
+    obj["template_total"] = 1
+    obj["no_journal_count"] = 0
+    obj[field] = {7: 1}
+    with pytest.raises(ValueError, match="not a string"):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["template_total", "malformed_total", "excluded_count", "unknown_overflow", "no_journal_count"],
+)
+def test_json_rejects_non_count_scalars(field):
+    obj = to_json_dict(CountTable.empty("fp"))
+    obj[field] = "0"
+    with pytest.raises(ValueError, match=field):
+        from_json_dict(obj)
+
+
+@pytest.mark.parametrize("stored", [999999, 0, 2, True, "1", None])
+def test_json_rejects_stored_no_journal_count_mismatch(stored):
+    obj = to_json_dict(CountTable.empty("fp"))
+    obj["template_total"] = 1
+    obj["no_journal_count"] = stored
+    if stored is None:
+        del obj["no_journal_count"]
+    with pytest.raises(ValueError, match="no_journal_count"):
+        from_json_dict(obj)
+
+
 def test_counts_csv_sorted_by_count_then_name():
     table = CountTable(
         counts={"Beta": 2, "Alpha": 2, "Gamma": 9},

@@ -3,7 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wikicite import bibliometrics
 from wikicite.aggregate import CountTable, RegistryMismatchError
 from wikicite.bibliometrics import (
     SERIES_NAMES,
@@ -22,7 +25,7 @@ from wikicite.bibliometrics import (
     write_scatter_csv,
 )
 
-from oracles import brute_tau
+from oracles import brute_pair_counts, brute_tau
 
 
 def make_table(counts: dict[str, int], fingerprint: str) -> CountTable:
@@ -181,6 +184,126 @@ class TestSweep:
         ]
         with pytest.raises(DegenerateInputError):
             topn_sweep(metrics, "combined", [2])
+
+
+# sweep oracle ---------------------------------------------------------
+
+
+@st.composite
+def tied_sweeps(draw, max_size=24, values=4):
+    """Journals with heavily tied counts and statistics, a possibly
+    non-finite impact factor, and distinct sweep sizes, strictly increasing
+    or in any order."""
+    n = draw(st.integers(min_value=2, max_value=max_size))
+    small = st.integers(min_value=0, max_value=values - 1)
+    impacts = [float(v) / 2 for v in draw(st.lists(small, min_size=n, max_size=n))]
+    broken = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if broken is not None:
+        impacts[broken] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    metrics = [
+        metric(
+            f"J{i:02d}",
+            wiki=draw(small),
+            total=draw(small),
+            impact=impact,
+            articles=draw(small),
+        )
+        for i, impact in enumerate(impacts)
+    ]
+    n_values = sorted(draw(st.sets(st.integers(min_value=2, max_value=n), min_size=1)))
+    if draw(st.booleans()):
+        n_values = draw(st.permutations(n_values))
+    return metrics, n_values
+
+
+def _ranked_pairs(metrics, series):
+    ranked = sorted(metrics, key=lambda m: (-m.wiki_count, m.journal))
+    return [float(m.wiki_count) for m in ranked], [series_values(m, series) for m in ranked]
+
+
+def _per_prefix(x, y, series, n_values, method="normal"):
+    """Rows of per-prefix ``correlate`` up to the first size that fails,
+    and that size's exception (or None)."""
+    rows = []
+    for n in n_values:
+        try:
+            rows.append(correlate(x[:n], y[:n], series, method=method))
+        except ValueError as exc:
+            return rows, exc
+    return rows, None
+
+
+def _reprs(results):
+    return [(r.series_name, r.n, repr(r.tau), repr(r.z), repr(r.p_value)) for r in results]
+
+
+def _assert_sweep_matches_prefixes(metrics, n_values, method="normal"):
+    for series in SERIES_NAMES:
+        x, y = _ranked_pairs(metrics, series)
+        rows, error = _per_prefix(x, y, series, n_values, method)
+        if error is None:
+            assert _reprs(topn_sweep(metrics, series, n_values, method)) == _reprs(rows)
+            continue
+        with pytest.raises(type(error)) as raised:
+            topn_sweep(metrics, series, n_values, method)
+        assert type(raised.value) is type(error)
+        assert str(raised.value) == str(error)
+        # the same sizes before the failing one still sweep
+        before = n_values[: len(rows)]
+        assert _reprs(topn_sweep(metrics, series, before, method)) == _reprs(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_sweeps())
+def test_sweep_rows_equal_per_prefix_correlate(case):
+    metrics, n_values = case
+    _assert_sweep_matches_prefixes(metrics, n_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_sweeps(max_size=12, values=12))
+def test_exact_sweep_equals_per_prefix_exact(case):
+    metrics, n_values = case
+    _assert_sweep_matches_prefixes(metrics, n_values, method="exact")
+
+
+def test_exact_sweep_rejects_n_above_limit():
+    metrics = [metric(f"J{i}", wiki=20 - i, total=i * 7 % 11, impact=1.0) for i in range(12)]
+    assert len(topn_sweep(metrics, "total_citations", [2, 8], method="exact")) == 2
+    with pytest.raises(ValueError, match="n <= 8"):
+        topn_sweep(metrics, "total_citations", [2, 8, 9], method="exact")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_sweeps())
+def test_prefix_stats_agree_with_pair_enumeration(case):
+    metrics, n_values = case
+    for series in SERIES_NAMES:
+        x, y = _ranked_pairs(metrics, series)
+        finite = [n for n in n_values if all(map(math.isfinite, y[:n]))]
+        stats = bibliometrics._prefix_stats(x, y, finite)
+        assert sorted(stats) == sorted(finite)
+        for n in finite:
+            s, x_pairs, y_pairs = brute_pair_counts(x[:n], y[:n])
+            row = stats[n]
+            assert (row.s, row.n0 - row.x_ties.pairs, row.n0 - row.y_ties.pairs) == (
+                s, x_pairs, y_pairs,
+            )
+            assert row == bibliometrics._tau_stats(x[:n], y[:n])
+
+
+def test_sweep_checks_pair_stats_once_per_series(monkeypatch):
+    calls = []
+    original = bibliometrics._tau_stats
+
+    def counting(x, y):
+        calls.append(len(x))
+        return original(x, y)
+
+    monkeypatch.setattr(bibliometrics, "_tau_stats", counting)
+    metrics = TestSweep()._metrics()
+    topn_sweep(metrics, "combined", [2, 5, 7])
+    assert calls == [7]
 
 
 class TestOverlap:

@@ -197,6 +197,72 @@ class TestCount:
         assert code == 2
         assert not (out / "counts.json").exists()
 
+    @pytest.fixture(scope="class")
+    def extracted_300(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fx300")
+        assert main(
+            ["gen-fixture", "--pages", "60", "--citations", "300", "--out", str(base / "fx")]
+        ) == 0
+        extract_out = base / "extract"
+        assert main(
+            ["extract", "--dump", str(base / "fx" / "dump.xml"), "--out", str(extract_out)]
+        ) == 0
+        return base, extract_out
+
+    def _count_copy(self, extracted_300, tmp_path, lines=None, summary=True):
+        base, extract_out = extracted_300
+        staged = tmp_path / "staged"
+        staged.mkdir()
+        text = read(extract_out / "citations.jsonl")
+        if lines is not None:
+            text = "".join(text.splitlines(keepends=True)[:lines])
+        (staged / "citations.jsonl").write_text(text, encoding="utf-8")
+        if summary:
+            (staged / "extract_summary.json").write_text(
+                read(extract_out / "extract_summary.json"), encoding="utf-8"
+            )
+        out = tmp_path / "out"
+        code = main(
+            ["count", "--citations", str(staged / "citations.jsonl"),
+             "--registry", str(base / "fx" / "registry.tsv"), "--out", str(out)]
+        )
+        return code, out
+
+    def test_whole_extract_counts(self, extracted_300, tmp_path):
+        summary = json.loads(read(extracted_300[1] / "extract_summary.json"))
+        assert summary["records"] == 300
+        code, out = self._count_copy(extracted_300, tmp_path)
+        assert code == 0
+        with open(out / "counts.json", encoding="utf-8") as fp:
+            assert read_counts_json(fp).template_total == 300
+
+    def test_truncated_jsonl_is_input_error(self, extracted_300, tmp_path, capsys):
+        code, out = self._count_copy(extracted_300, tmp_path, lines=50)
+        assert code == 2
+        assert "50 records" in capsys.readouterr().err
+        assert not (out / "counts.json").exists()
+
+    def test_missing_summary_only_warns(self, extracted_300, tmp_path, capsys):
+        code, out = self._count_copy(extracted_300, tmp_path, lines=50, summary=False)
+        assert code == 0
+        assert "no extract_summary.json" in capsys.readouterr().err
+        with open(out / "counts.json", encoding="utf-8") as fp:
+            table = read_counts_json(fp)
+        assert (table.template_total, table.malformed_total) == (50, 0)
+
+    @pytest.mark.parametrize("records", ["null", "true", '"300"', "300.0", "-1"])
+    def test_bad_summary_records_is_input_error(self, small_dump, tmp_path, records):
+        extract_out = tmp_path / "extract"
+        main(["extract", "--dump", str(small_dump), "--out", str(extract_out)])
+        (extract_out / "extract_summary.json").write_text(
+            f'{{"malformed_total": 0, "records": {records}}}', encoding="utf-8"
+        )
+        code = main(
+            ["count", "--citations", str(extract_out / "citations.jsonl"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+
     def test_near_miss_report(self, tmp_path):
         pages = [WikiPage("A", 0, "{{cite journal|journal=Nature Genetics}}")]
         dump = tmp_path / "dump.xml"
@@ -327,6 +393,52 @@ class TestCorrelate:
              "--registry", str(other), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+
+_BAD_COUNTS = [
+    ("counts", 3.7, "non-negative integer"),
+    ("counts", "12", "non-negative integer"),
+    ("counts", -5, "non-negative integer"),
+    ("counts", True, "non-negative integer"),
+    ("unknown", 3.7, "non-negative integer"),
+    ("unknown", "12", "non-negative integer"),
+    ("unknown", -5, "non-negative integer"),
+    ("unknown", True, "non-negative integer"),
+    ("no_journal_count", 999999, "disagrees"),
+]
+
+
+def _corrupt_counts(counts_path, field, value):
+    obj = json.loads(read(counts_path))
+    if field == "no_journal_count":
+        obj[field] = value
+    else:
+        name = next(iter(obj["counts"]))
+        obj[field][name if field == "counts" else "Some Unknown Journal"] = value
+    counts_path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+@pytest.mark.parametrize("field,value,reason", _BAD_COUNTS)
+def test_correlate_rejects_corrupt_counts(tmp_path, capsys, field, value, reason):
+    _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+    _corrupt_counts(counts_path, field, value)
+    out = tmp_path / "out"
+    code = main(
+        ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert reason in capsys.readouterr().err
+    assert not (out / "correlations.csv").exists()
+
+
+@pytest.mark.parametrize("field,value,reason", _BAD_COUNTS)
+def test_growth_rejects_corrupt_counts(tmp_path, capsys, field, value, reason):
+    _, counts_path, _, _ = _write_counts_and_jcr(tmp_path)
+    _corrupt_counts(counts_path, field, value)
+    out = tmp_path / "out"
+    assert main(["growth", "--table", f"2007-01-01={counts_path}", "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (out / "growth.csv").exists()
 
 
 class TestSweepParsing:

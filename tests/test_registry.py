@@ -11,6 +11,8 @@ from wikicite.registry import (
     parse_registry,
 )
 
+from oracles import near_misses_by_pairs
+
 
 @pytest.mark.parametrize(
     "raw,key",
@@ -152,6 +154,34 @@ def test_near_misses_shared_prefix(starter_registry):
 
 def test_near_misses_empty_for_no_unknowns(starter_registry):
     assert near_misses([], starter_registry) == []
+
+
+_short_names = st.text(alphabet="abAB. &", min_size=1, max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_short_names, max_size=12),
+    st.lists(
+        st.tuples(st.sampled_from(["", "The ", "the "]), _short_names), max_size=12
+    ),
+    st.lists(st.integers(min_value=0, max_value=11), max_size=3),
+    st.sampled_from([0, 1, 2, 3, 6]),
+)
+def test_near_misses_match_pairwise_oracle(names, unknown_parts, exact, min_prefix):
+    by_key = {}
+    for name in names:
+        key = normalize_key(name)
+        if key:
+            by_key.setdefault(key, name)
+    registry = JournalRegistry.build(by_key.values())
+    # leading "the", short keys and strings that are registry names verbatim
+    unknown = [article + text for article, text in unknown_parts]
+    canonical = sorted(registry.canonical)
+    unknown += [canonical[i % len(canonical)] for i in exact if canonical]
+    assert near_misses(unknown, registry, min_prefix) == near_misses_by_pairs(
+        unknown, registry, min_prefix
+    )
 
 
 def test_load_registry_file(tmp_path):
