@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -87,15 +88,6 @@ class _TieSums(NamedTuple):
     v1: int  # sum t(t-1)
     v2: int  # sum t(t-1)(t-2)
 
-    @classmethod
-    def of(cls, sizes: Sequence[int]) -> "_TieSums":
-        return cls(
-            sum(t * (t - 1) // 2 for t in sizes),
-            sum(t * (t - 1) * (2 * t + 5) for t in sizes),
-            sum(t * (t - 1) for t in sizes),
-            sum(t * (t - 1) * (t - 2) for t in sizes),
-        )
-
     def joined(self, t: int) -> "_TieSums":
         """The sums once one more value joins a tie group of ``t``: each
         gains its term at t + 1 minus its term at t."""
@@ -131,68 +123,56 @@ def _validate_pair(x: Sequence[float], y: Sequence[float]) -> None:
             raise ValueError("values must be finite")
 
 
-def _inversions(values: list) -> int:
-    """Strict inversions (later value smaller) via bottom-up merge sort."""
-    n = len(values)
-    src = list(values)
-    dst = src[:]
-    inversions = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if src[j] < src[i]:
-                    inversions += mid - i
-                    dst[k] = src[j]
-                    j += 1
-                else:
-                    dst[k] = src[i]
-                    i += 1
-                k += 1
-            if i < mid:
-                dst[k:hi] = src[i:mid]
-            else:
-                dst[k:hi] = src[j:hi]
-        src, dst = dst, src
-        width *= 2
-    return inversions
+def _fenwick_add(tree: list[int], i: int) -> None:
+    while i < len(tree):
+        tree[i] += 1
+        i += i & -i
 
 
-def _run_sizes(sorted_values: Iterable) -> tuple[int, ...]:
-    sizes = []
-    run = 0
-    previous = object()
-    for value in sorted_values:
-        if value == previous:
-            run += 1
-        else:
-            if run > 1:
-                sizes.append(run)
-            run = 1
-            previous = value
-    if run > 1:
-        sizes.append(run)
-    return tuple(sizes)
+def _fenwick_prefix(tree: list[int], i: int) -> int:
+    """How many values of rank 1..i the tree holds."""
+    total = 0
+    while i:
+        total += tree[i]
+        i &= i - 1
+    return total
 
 
-def _tau_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
-    """Pair statistics via sort-and-count rather than pair enumeration.
+def _tau_stats(x: Sequence[float], y: Sequence[float]) -> list[_TauStats]:
+    """Pair statistics of ``x[:n], y[:n]`` for every n, from one walk over
+    the two lists; ``x`` must be non-increasing and every value finite.
 
-    Sorting by (x, y) makes the discordant count equal to the strict
-    inversion count of the y sequence; tie corrections come from run
-    lengths.
+    The value at position j adds to C - D the earlier values with a strictly
+    larger x and a larger y, minus those with a smaller y. A Fenwick tree
+    over y ranks (Fenwick 1994) holds the earlier values, and two prefix
+    queries count both sets; the current run of tied x stays out of the tree
+    until x changes. The tie sums grow as running integers (the incremental
+    form of Christensen 2005), so the walk costs O(n log n) and every
+    statistic is an exact integer.
     """
-    n = len(x)
-    pairs = sorted(zip(x, y))
-    discordant = _inversions([p[1] for p in pairs])
-    x_ties = _TieSums.of(_run_sizes(p[0] for p in pairs))
-    y_ties = _TieSums.of(_run_sizes(sorted(y)))
-    joint_ties = sum(t * (t - 1) // 2 for t in _run_sizes(pairs))
-    s = n * (n - 1) // 2 - x_ties.pairs - y_ties.pairs + joint_ties - 2 * discordant
-    return _TauStats(n, s, x_ties, y_ties)
+    rank = {value: r for r, value in enumerate(sorted(set(y)), start=1)}
+    tree = [0] * (len(rank) + 1)
+    tie_run: list[int] = []  # y ranks of the current run of tied x
+    y_group: dict[int, int] = {}  # members so far per y rank
+    x_ties = y_ties = _TieSums(0, 0, 0, 0)
+    s = 0
+    out = []
+    for n, (x_value, y_value) in enumerate(zip(x, y), start=1):
+        if n > 1 and x_value != x[n - 2]:
+            for r in tie_run:
+                _fenwick_add(tree, r)
+            tie_run.clear()
+        r = rank[y_value]
+        in_tree = n - 1 - len(tie_run)
+        not_above = _fenwick_prefix(tree, r)
+        s += (in_tree - not_above) - _fenwick_prefix(tree, r - 1)
+        x_ties = x_ties.joined(len(tie_run))
+        tie_run.append(r)
+        t = y_group.get(r, 0)
+        y_ties = y_ties.joined(t)
+        y_group[r] = t + 1
+        out.append(_TauStats(n, s, x_ties, y_ties))
+    return out
 
 
 def _require_ordering(stats: _TauStats) -> _TauStats:
@@ -202,9 +182,11 @@ def _require_ordering(stats: _TauStats) -> _TauStats:
 
 
 def _checked_stats(x: Sequence[float], y: Sequence[float]) -> _TauStats:
-    """Validated pair statistics of two lists that both have an ordering."""
+    """Validated pair statistics of two lists that both have an ordering:
+    the last prefix of the walk over the pairs sorted by x, descending."""
     _validate_pair(x, y)
-    return _require_ordering(_tau_stats(x, y))
+    pairs = sorted(zip(x, y), key=operator.itemgetter(0), reverse=True)
+    return _require_ordering(_tau_stats(*zip(*pairs))[-1])
 
 
 def _tau_b(stats: _TauStats) -> float:
@@ -305,6 +287,10 @@ def correlate(
 # joining and sweeps -------------------------------------------------
 
 
+def _by_wiki_count(metrics: Iterable[JournalMetrics]) -> list[JournalMetrics]:
+    return sorted(metrics, key=lambda m: (-m.wiki_count, m.journal))
+
+
 def join(
     counts: CountTable, jcr: Sequence[JcrRecord], registry: JournalRegistry
 ) -> JoinResult:
@@ -358,9 +344,8 @@ def join(
         if name not in counts.counts:
             jcr_only.append(name)
 
-    metrics.sort(key=lambda m: (-m.wiki_count, m.journal))
     return JoinResult(
-        metrics=metrics,
+        metrics=_by_wiki_count(metrics),
         wiki_only=sorted(wiki_only),
         jcr_only=sorted(jcr_only),
         jcr_excluded=sorted(jcr_excluded),
@@ -386,73 +371,6 @@ def series_values(metrics: JournalMetrics, series_name: str) -> float:
     return _series_getter(series_name)(metrics)
 
 
-def _by_wiki_count(metrics: Iterable[JournalMetrics]) -> list[JournalMetrics]:
-    return sorted(metrics, key=lambda m: (-m.wiki_count, m.journal))
-
-
-def _fenwick_add(tree: list[int], i: int) -> None:
-    while i < len(tree):
-        tree[i] += 1
-        i += i & -i
-
-
-def _fenwick_prefix(tree: list[int], i: int) -> int:
-    """How many values of rank 1..i the tree holds."""
-    total = 0
-    while i:
-        total += tree[i]
-        i &= i - 1
-    return total
-
-
-def _prefix_stats(
-    x: Sequence[float], y: Sequence[float], sizes: Iterable[int]
-) -> dict[int, _TauStats]:
-    """Pair statistics of ``x[:n], y[:n]`` for each n in ``sizes``, from one
-    walk over the two lists; ``x`` must be non-increasing and every value
-    finite.
-
-    The value at position j adds to C - D the earlier values with a strictly
-    larger x and a larger y, minus those with a smaller y. A Fenwick tree
-    over y ranks (Fenwick 1994) holds the earlier values, and two prefix
-    queries count both sets; the current run of tied x stays out of the tree
-    until x changes. The tie sums grow as running integers (the incremental
-    form of Christensen 2005), so each prefix costs O(log n) and every
-    statistic stays the exact integer that :func:`_tau_stats` would give.
-    The largest requested prefix is checked against :func:`_tau_stats`.
-    """
-    wanted = set(sizes)
-    if not wanted:
-        return {}
-    last = max(wanted)
-    rank = {value: r for r, value in enumerate(sorted(set(y[:last])), start=1)}
-    tree = [0] * (len(rank) + 1)
-    tie_run: list[int] = []  # y ranks of the current run of tied x
-    y_group: dict[int, int] = {}  # members so far per y rank
-    x_ties = y_ties = _TieSums(0, 0, 0, 0)
-    s = 0
-    out: dict[int, _TauStats] = {}
-    for n, (x_value, y_value) in enumerate(zip(x[:last], y[:last]), start=1):
-        if n > 1 and x_value != x[n - 2]:
-            for r in tie_run:
-                _fenwick_add(tree, r)
-            tie_run.clear()
-        r = rank[y_value]
-        in_tree = n - 1 - len(tie_run)
-        not_above = _fenwick_prefix(tree, r)
-        s += (in_tree - not_above) - _fenwick_prefix(tree, r - 1)
-        x_ties = x_ties.joined(len(tie_run))
-        tie_run.append(r)
-        t = y_group.get(r, 0)
-        y_ties = y_ties.joined(t)
-        y_group[r] = t + 1
-        if n in wanted:
-            out[n] = _TauStats(n, s, x_ties, y_ties)
-    if out[last] != _tau_stats(x[:last], y[:last]):
-        raise RuntimeError(f"incremental sweep disagrees with sort-and-count at n={last}")
-    return out
-
-
 def topn_sweep(
     metrics: Sequence[JournalMetrics],
     series_name: str,
@@ -463,8 +381,7 @@ def topn_sweep(
     journals, for each N. Ties in wiki_count break by name, ascending.
 
     One O(N log N) walk down the ranked journals yields every prefix's pair
-    statistics (see :func:`_prefix_stats`), rather than a sort-and-count per
-    prefix. Each N gives the same result, or raises the same error, as
+    statistics (see :func:`_tau_stats`). Each N gives the same result, or raises the same error, as
     :func:`correlate` on that prefix; the first N in ``n_values`` order that
     fails raises.
     """
@@ -481,12 +398,12 @@ def topn_sweep(
     y = [getter(m) for m in top]
     # x holds whole counts, so only y can be non-finite
     finite = next((i for i, value in enumerate(y) if not math.isfinite(value)), len(y))
-    stats = _prefix_stats(x, y, [n for n in n_values if n <= finite])
+    stats = _tau_stats(x[:finite], y[:finite])
     results = []
     for n in n_values:
         if n > finite:
             raise ValueError("values must be finite")
-        results.append(_result(_require_ordering(stats[n]), series_name, method))
+        results.append(_result(_require_ordering(stats[n - 1]), series_name, method))
     return results
 
 

@@ -197,6 +197,9 @@ def scan_page(page: WikiPage) -> PageScan:
     return PageScan(records=records, malformed=malformed, duplicate_params=duplicates)
 
 
+_RECORD_KEYS = {"page_title", "template_name_raw", "params", "journal_raw", "span"}
+
+
 def record_to_json(record: CitationRecord) -> str:
     """Serialize one record as a JSON object with fixed field order."""
     return json.dumps(
@@ -221,20 +224,43 @@ def write_jsonl(records: Iterable[CitationRecord], fp: IO[str]) -> int:
     return count
 
 
+def _record_from_json(obj) -> CitationRecord:
+    """The record a decoded line holds, or ValueError for anything
+    :func:`write_jsonl` could not have written."""
+    if type(obj) is not dict or obj.keys() != _RECORD_KEYS:
+        raise ValueError(f"expected an object with keys {sorted(_RECORD_KEYS)}")
+    page_title = obj["page_title"]
+    template_name_raw = obj["template_name_raw"]
+    params = obj["params"]
+    journal_raw = obj["journal_raw"]
+    span = obj["span"]
+    if type(page_title) is not str or type(template_name_raw) is not str:
+        raise ValueError("page_title and template_name_raw must be strings")
+    # JSON object keys are always strings; only the values need a check
+    if type(params) is not dict or not all(type(v) is str for v in params.values()):
+        raise ValueError("params must map strings to strings")
+    if journal_raw is not None and type(journal_raw) is not str:
+        raise ValueError("journal_raw must be a string or null")
+    if (
+        type(span) is not list
+        or len(span) != 2
+        or type(span[0]) is not int
+        or type(span[1]) is not int
+        or not 0 <= span[0] < span[1]
+    ):
+        raise ValueError("span must be [start, end] with 0 <= start < end")
+    return CitationRecord(page_title, template_name_raw, params, journal_raw, tuple(span))
+
+
 def read_jsonl(fp: IO[str]) -> Iterator[CitationRecord]:
-    """Parse records written by :func:`write_jsonl`."""
+    """Parse records written by :func:`write_jsonl`; a line that it could
+    not have written raises ValueError."""
     for line_no, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-            yield CitationRecord(
-                page_title=obj["page_title"],
-                template_name_raw=obj["template_name_raw"],
-                params=dict(obj["params"]),
-                journal_raw=obj.get("journal_raw"),
-                span=tuple(obj["span"]),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
+            record = _record_from_json(json.loads(line))
+        except ValueError as exc:
             raise ValueError(f"bad citation record on line {line_no}: {exc}") from None
+        yield record

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
-from xml.sax.saxutils import escape
 
 from .dump_reader import WikiPage
 
@@ -257,16 +256,22 @@ def build_corpus(
 # XML writing --------------------------------------------------------
 
 
+def _escape(text: str) -> str:
+    """XML character-data escaping of ``&``, ``<`` and ``>``; ``&`` goes first
+    so that the other two replacements are not escaped again."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def page_xml(page: WikiPage, include_ns: bool = True) -> str:
-    parts = ["  <page>\n", f"    <title>{escape(page.title)}</title>\n"]
+    parts = ["  <page>\n", f"    <title>{_escape(page.title)}</title>\n"]
     if include_ns:
         parts.append(f"    <ns>{page.namespace}</ns>\n")
     parts.append("    <revision>\n")
     if page.revision_timestamp:
         parts.append(
-            f"      <timestamp>{escape(page.revision_timestamp)}</timestamp>\n"
+            f"      <timestamp>{_escape(page.revision_timestamp)}</timestamp>\n"
         )
-    parts.append(f"      <text>{escape(page.text)}</text>\n")
+    parts.append(f"      <text>{_escape(page.text)}</text>\n")
     parts.append("    </revision>\n  </page>\n")
     return "".join(parts)
 

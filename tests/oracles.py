@@ -1,13 +1,14 @@
 """Independent rank-correlation oracles.
 
-These enumerate pairs and permutations directly; they must stay independent
-of the sort-and-count implementation they check.
+These enumerate pairs and permutations, and count tie groups, directly; they
+must stay independent of the Fenwick-tree walk they check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from wikicite.registry import normalize_key
 
@@ -35,6 +36,32 @@ def brute_pair_counts(x, y) -> tuple[int, int, int]:
 def brute_tau(x, y) -> float:
     s, dx, dy = brute_pair_counts(x, y)
     return s / math.sqrt(dx * dy)
+
+
+def tie_sums(values) -> tuple[int, int, int, int]:
+    """Sums of t(t-1)/2, t(t-1)(2t+5), t(t-1) and t(t-1)(t-2) over the tie
+    groups of ``values``, t being a group's size."""
+    sizes = Counter(values).values()
+    return (
+        sum(t * (t - 1) // 2 for t in sizes),
+        sum(t * (t - 1) * (2 * t + 5) for t in sizes),
+        sum(t * (t - 1) for t in sizes),
+        sum(t * (t - 1) * (t - 2) for t in sizes),
+    )
+
+
+def brute_z(x, y) -> float:
+    """Continuity-corrected normal score of C - D under the tie-corrected
+    null variance."""
+    s = brute_pair_counts(x, y)[0]
+    n = len(x)
+    _, tv, tv1, tv2 = tie_sums(x)
+    _, uv, uv1, uv2 = tie_sums(y)
+    variance = (n * (n - 1) * (2 * n + 5) - tv - uv) / 18
+    if n > 2:
+        variance += tv2 * uv2 / (9 * n * (n - 1) * (n - 2))
+    variance += tv1 * uv1 / (2 * n * (n - 1))
+    return math.copysign(max(abs(s) - 1, 0), s) / math.sqrt(variance) if s else 0.0
 
 
 def exact_p_by_enumeration(x, y) -> float:

@@ -25,7 +25,7 @@ from wikicite.bibliometrics import (
     write_scatter_csv,
 )
 
-from oracles import brute_pair_counts, brute_tau
+from oracles import brute_pair_counts, brute_tau, tie_sums
 
 
 def make_table(counts: dict[str, int], fingerprint: str) -> CountTable:
@@ -277,19 +277,19 @@ def test_exact_sweep_rejects_n_above_limit():
 @settings(max_examples=300, deadline=None)
 @given(tied_sweeps())
 def test_prefix_stats_agree_with_pair_enumeration(case):
-    metrics, n_values = case
+    metrics, _ = case
     for series in SERIES_NAMES:
         x, y = _ranked_pairs(metrics, series)
-        finite = [n for n in n_values if all(map(math.isfinite, y[:n]))]
-        stats = bibliometrics._prefix_stats(x, y, finite)
-        assert sorted(stats) == sorted(finite)
-        for n in finite:
+        finite = next((i for i, v in enumerate(y) if not math.isfinite(v)), len(y))
+        stats = bibliometrics._tau_stats(x[:finite], y[:finite])
+        assert [row.n for row in stats] == list(range(1, finite + 1))
+        for row in stats:
+            n = row.n
             s, x_pairs, y_pairs = brute_pair_counts(x[:n], y[:n])
-            row = stats[n]
             assert (row.s, row.n0 - row.x_ties.pairs, row.n0 - row.y_ties.pairs) == (
                 s, x_pairs, y_pairs,
             )
-            assert row == bibliometrics._tau_stats(x[:n], y[:n])
+            assert (tuple(row.x_ties), tuple(row.y_ties)) == (tie_sums(x[:n]), tie_sums(y[:n]))
 
 
 def test_sweep_checks_pair_stats_once_per_series(monkeypatch):

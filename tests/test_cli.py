@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -209,13 +210,20 @@ class TestCount:
         ) == 0
         return base, extract_out
 
-    def _count_copy(self, extracted_300, tmp_path, lines=None, summary=True):
+    def _count_copy(self, extracted_300, tmp_path, lines=None, summary=True, edit=None):
+        """Count a staged copy of the extract, cut to ``lines`` lines and
+        with ``edit`` applied to the first record's decoded object."""
         base, extract_out = extracted_300
         staged = tmp_path / "staged"
         staged.mkdir()
         text = read(extract_out / "citations.jsonl")
         if lines is not None:
             text = "".join(text.splitlines(keepends=True)[:lines])
+        if edit is not None:
+            first, rest = text.split("\n", 1)
+            record = json.loads(first)
+            edit(record)
+            text = json.dumps(record) + "\n" + rest
         (staged / "citations.jsonl").write_text(text, encoding="utf-8")
         if summary:
             (staged / "extract_summary.json").write_text(
@@ -249,6 +257,42 @@ class TestCount:
         with open(out / "counts.json", encoding="utf-8") as fp:
             table = read_counts_json(fp)
         assert (table.template_total, table.malformed_total) == (50, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("page_title", 7),
+            ("template_name_raw", None),
+            ("params", [["journal", "Nature"]]),
+            ("params", {"journal": 5}),
+            ("journal_raw", 5),
+            ("span", "ab"),
+            ("span", [1, 2, 3]),
+            ("span", [1.0, 9]),
+            ("span", [False, 9]),
+            ("span", [-1, 9]),
+            ("span", [10, 2]),
+            ("span", [4, 4]),
+            ("journal_raw", KeyError),
+            ("extra", "field"),
+        ],
+        ids=[
+            "title-int", "name-null", "params-list", "params-int-value", "journal-int",
+            "span-str", "span-three-items", "span-float", "span-bool", "span-negative",
+            "span-reversed", "span-empty", "journal-missing", "extra-key",
+        ],
+    )
+    def test_mistyped_record_is_input_error(self, extracted_300, tmp_path, capsys, field, value):
+        def edit(record):
+            if value is KeyError:
+                del record[field]
+            else:
+                record[field] = value
+
+        code, out = self._count_copy(extracted_300, tmp_path, edit=edit)
+        assert code == 2
+        assert "bad citation record on line 1" in capsys.readouterr().err
+        assert not (out / "counts.json").exists()
 
     @pytest.mark.parametrize("records", ["null", "true", '"300"', "300.0", "-1"])
     def test_bad_summary_records_is_input_error(self, small_dump, tmp_path, records):
@@ -603,3 +647,18 @@ def test_manifest_config_per_command(tmp_path, monkeypatch):
         ["growth", "--table", "2006-01-01=c1/counts.json",
          "--table", "2007-01-01=c2/counts.json", "--out", "g"]
     ) == {"out": "g", "table": ["2006-01-01=c1/counts.json", "2007-01-01=c2/counts.json"]}
+
+
+def test_cli_import_skips_network_modules():
+    """Start-up stays cheap: nothing on the CLI's import path pulls in the
+    XML helpers that drag in ``urllib.request`` and ``http.client``."""
+    code = (
+        "import sys, wikicite.cli; "
+        "print([m for m in ('xml.sax.saxutils', 'urllib.request') if m in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from wikicite import bibliometrics
 from wikicite.bibliometrics import (
+    CorrelationResult,
     DegenerateInputError,
     correlate,
     kendall_tau_b,
     tau_p_value,
 )
 
-from oracles import brute_pair_counts, brute_tau, exact_p_by_enumeration
+from oracles import brute_pair_counts, brute_tau, brute_z, exact_p_by_enumeration
 
 
 class TestTau:
@@ -248,3 +249,39 @@ def test_oracle_equivalence_small_n(pair):
     if not _non_degenerate(x, y):
         return
     assert kendall_tau_b(x, y) == pytest.approx(brute_tau(x, y), abs=1e-12)
+
+
+# ints and floats that compare equal, -0.0 next to 0.0, and few distinct
+# values, so that ties are heavy
+_tied_values = st.sampled_from([-2, -2.0, -0.5, -0.0, 0, 0.0, 1, 1.0, 2.5, 3])
+
+
+@st.composite
+def tied_pairs(draw, max_size=60):
+    """Unsorted, heavily tied lists; sometimes one or both fully tied."""
+    n = draw(st.integers(min_value=2, max_value=max_size))
+    x = draw(st.lists(_tied_values, min_size=n, max_size=n))
+    y = draw(st.lists(_tied_values, min_size=n, max_size=n))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        x = [x[0]] * n
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        y = [y[-1]] * n
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_pairs())
+def test_single_pair_paths_match_pair_enumeration(pair):
+    x, y = pair
+    _, x_pairs, y_pairs = brute_pair_counts(x, y)
+    if x_pairs == 0 or y_pairs == 0:
+        for call in (kendall_tau_b, tau_p_value, lambda a, b: correlate(a, b, "combined")):
+            with pytest.raises(DegenerateInputError):
+                call(x, y)
+        return
+    tau = kendall_tau_b(x, y)
+    p, z = tau_p_value(x, y)
+    assert tau == pytest.approx(brute_tau(x, y), abs=1e-12)
+    assert z == pytest.approx(brute_z(x, y), rel=1e-12, abs=1e-12)
+    assert p == pytest.approx(math.erfc(abs(z) / math.sqrt(2)), rel=1e-12)
+    assert correlate(x, y, "combined") == CorrelationResult("combined", len(x), tau, z, p)
