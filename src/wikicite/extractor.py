@@ -4,7 +4,8 @@ The scanner is nesting-aware: ``{{...}}`` inside a parameter value belongs to
 the inner template, never to the boundary of the outer one. Text hidden in
 HTML comments and ``<nowiki>`` spans is masked (replaced by spaces of the same
 length) before scanning, so record spans always index into the original page
-text.
+text. Spans are found by jumping between ``{{`` and ``}}`` with ``str.find``,
+and only spans named ``cite journal`` are split into parameters.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from .dump_reader import WikiPage
 TEMPLATE_NAME = "cite journal"
 
 _WS_RUN = re.compile(r"\s+")
-_BRACE_TOKENS = re.compile(r"\{\{|\}\}")
-# Tokens relevant to parameter splitting: pipes are separators only outside
-# nested templates and wiki links.
-_PARAM_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]|\||=")
+# Pipes and equals signs separate parts only outside nested templates and links.
+_NEST_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]")
 _COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
 _NOWIKI = re.compile(
     r"<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
@@ -84,13 +83,23 @@ def find_template_spans(text: str) -> tuple[list[tuple[int, int]], int]:
     of dangling opens left unclosed at the end of the text."""
     spans: list[tuple[int, int]] = []
     stack: list[int] = []
-    for match in _BRACE_TOKENS.finditer(text):
-        if match.group() == "{{":
-            stack.append(match.start())
-        elif stack:
-            spans.append((stack.pop(), match.end()))
+    pos = 0  # just past the last brace token taken
+    opening = text.find("{{")
+    closing = -1  # a "}}" with nothing open is text, so search only when needed
+    while stack or opening >= 0:
+        if stack and closing < pos:
+            closing = text.find("}}", pos)
+            if closing < 0:
+                break
+        if opening >= 0 and (not stack or opening < closing):
+            stack.append(opening)
+            pos = opening + 2
+            opening = text.find("{{", pos)
+        else:
+            pos = closing + 2
+            spans.append((stack.pop(), pos))
     spans.sort()
-    return spans, len(stack)
+    return spans, len(stack) + text.count("{{", pos)
 
 
 def _split_top_level(segment: str) -> list[tuple[int, int, int]]:
@@ -102,26 +111,31 @@ def _split_top_level(segment: str) -> list[tuple[int, int, int]]:
     """
     parts: list[tuple[int, int, int]] = []
     brace = link = 0
-    start = 0
+    start = lo = 0
     eq = -1
-    for match in _PARAM_TOKENS.finditer(segment):
-        token = match.group()
-        if token == "|":
-            if brace == 0 and link == 0:
-                parts.append((start, match.start(), eq))
-                start = match.end()
-                eq = -1
-        elif token == "=":
-            if brace == 0 and link == 0 and eq < 0:
-                eq = match.start()
-        elif token == "{{":
-            brace += 1
-        elif token == "}}":
-            brace = max(brace - 1, 0)
-        elif token == "[[":
-            link += 1
-        else:
-            link = max(link - 1, 0)
+    for match in (*_NEST_TOKENS.finditer(segment), None):
+        hi = match.start() if match else len(segment)
+        # The text from lo to hi holds no nesting token; split it only at depth 0.
+        while brace == 0 and link == 0:
+            bar = segment.find("|", lo, hi)
+            if eq < 0:
+                eq = segment.find("=", lo, hi if bar < 0 else bar)
+            if bar < 0:
+                break
+            parts.append((start, bar, eq))
+            start = lo = bar + 1
+            eq = -1
+        if match:
+            token = match.group()
+            if token == "{{":
+                brace += 1
+            elif token == "}}":
+                brace = max(brace - 1, 0)
+            elif token == "[[":
+                link += 1
+            else:
+                link = max(link - 1, 0)
+            lo = match.end()
     parts.append((start, len(segment), eq))
     return parts
 
@@ -146,7 +160,10 @@ def clean_journal_value(value: str) -> str:
 
 
 def scan_page(page: WikiPage) -> PageScan:
-    """Scan one page for ``cite journal`` templates."""
+    """Scan one page for ``cite journal`` templates, splitting only spans
+    whose name (the text up to the first ``|``) matches. A ``{{`` or ``[[``
+    in the name keeps it from matching; without one, the name is the first
+    top-level part, as ``}}`` and ``]]`` at depth 0 clamp to 0."""
     text = page.text
     masked = mask_hidden_spans(text)
     spans, malformed = find_template_spans(masked)
@@ -155,14 +172,16 @@ def scan_page(page: WikiPage) -> PageScan:
     for start, end in spans:
         inner_start = start + 2
         inner_end = end - 2
-        inner_masked = masked[inner_start:inner_end]
-        parts = _split_top_level(inner_masked)
-        name_lo, name_hi, _ = parts[0]
+        name_end = masked.find("|", inner_start, inner_end)
+        if name_end < 0:
+            name_end = inner_end
         # Matching runs on the masked text so a comment inside the name
         # behaves as if removed; the stored raw name is as written.
-        if normalize_template_name(inner_masked[name_lo:name_hi]) != TEMPLATE_NAME:
+        if normalize_template_name(masked[inner_start:name_end]) != TEMPLATE_NAME:
             continue
-        name_raw = text[inner_start + name_lo : inner_start + name_hi]
+        name_raw = text[inner_start:name_end]
+        inner_masked = masked[inner_start:inner_end]
+        parts = _split_top_level(inner_masked)
 
         params: dict[str, str] = {}
         positional = 0
@@ -198,19 +217,19 @@ def scan_page(page: WikiPage) -> PageScan:
 
 
 _RECORD_KEYS = {"page_title", "template_name_raw", "params", "journal_raw", "span"}
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def record_to_json(record: CitationRecord) -> str:
     """Serialize one record as a JSON object with fixed field order."""
-    return json.dumps(
+    return _ENCODER.encode(
         {
             "page_title": record.page_title,
             "template_name_raw": record.template_name_raw,
             "params": record.params,
             "journal_raw": record.journal_raw,
             "span": list(record.span),
-        },
-        ensure_ascii=False,
+        }
     )
 
 

@@ -1,15 +1,28 @@
-"""Independent rank-correlation oracles.
+"""Independent oracles for the fast paths in ``wikicite``.
 
-These enumerate pairs and permutations, and count tie groups, directly; they
-must stay independent of the Fenwick-tree walk they check.
+The rank-correlation oracles enumerate pairs and permutations, and count tie
+groups, directly; they must stay independent of the Fenwick-tree walk they
+check. The template-scan oracle tokenizes every brace, bracket, pipe and
+equals sign with one regex and splits every template, as the scanner did
+before it searched with ``str.find`` and split only ``cite journal`` spans.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 
+from wikicite.dump_reader import WikiPage
+from wikicite.extractor import (
+    TEMPLATE_NAME,
+    CitationRecord,
+    PageScan,
+    clean_journal_value,
+    mask_hidden_spans,
+    normalize_template_name,
+)
 from wikicite.registry import normalize_key
 
 
@@ -91,3 +104,108 @@ def near_misses_by_pairs(unknown, registry, min_prefix=6):
             if prefix >= min_prefix and key[:prefix] == raw_key[:prefix]:
                 hits.append((raw, registry.key_to_name[key]))
     return hits
+
+
+_BRACE_TOKENS = re.compile(r"\{\{|\}\}")
+# Tokens relevant to parameter splitting: pipes are separators only outside
+# nested templates and wiki links.
+_PARAM_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]|\||=")
+
+
+def template_spans_by_tokens(text: str) -> tuple[list[tuple[int, int]], int]:
+    """All balanced ``{{...}}`` spans (nested ones included) plus the count
+    of dangling opens left unclosed at the end of the text."""
+    spans: list[tuple[int, int]] = []
+    stack: list[int] = []
+    for match in _BRACE_TOKENS.finditer(text):
+        if match.group() == "{{":
+            stack.append(match.start())
+        elif stack:
+            spans.append((stack.pop(), match.end()))
+    spans.sort()
+    return spans, len(stack)
+
+
+def split_by_tokens(segment: str) -> list[tuple[int, int, int]]:
+    """Split template innards at top-level pipes.
+
+    Returns (start, end, eq) triples relative to ``segment``, where ``eq`` is
+    the offset of the first top-level ``=`` inside the part, or -1. Pipes and
+    equals inside nested ``{{...}}`` or ``[[...]]`` do not count.
+    """
+    parts: list[tuple[int, int, int]] = []
+    brace = link = 0
+    start = 0
+    eq = -1
+    for match in _PARAM_TOKENS.finditer(segment):
+        token = match.group()
+        if token == "|":
+            if brace == 0 and link == 0:
+                parts.append((start, match.start(), eq))
+                start = match.end()
+                eq = -1
+        elif token == "=":
+            if brace == 0 and link == 0 and eq < 0:
+                eq = match.start()
+        elif token == "{{":
+            brace += 1
+        elif token == "}}":
+            brace = max(brace - 1, 0)
+        elif token == "[[":
+            link += 1
+        else:
+            link = max(link - 1, 0)
+    parts.append((start, len(segment), eq))
+    return parts
+
+
+def scan_page_by_tokens(page: WikiPage) -> PageScan:
+    """The page scan that splits every template before checking its name."""
+    text = page.text
+    masked = mask_hidden_spans(text)
+    spans, malformed = template_spans_by_tokens(masked)
+    records: list[CitationRecord] = []
+    duplicates = 0
+    for start, end in spans:
+        inner_start = start + 2
+        inner_end = end - 2
+        inner_masked = masked[inner_start:inner_end]
+        parts = split_by_tokens(inner_masked)
+        name_lo, name_hi, _ = parts[0]
+        # Matching runs on the masked text so a comment inside the name
+        # behaves as if removed; the stored raw name is as written.
+        if normalize_template_name(inner_masked[name_lo:name_hi]) != TEMPLATE_NAME:
+            continue
+        name_raw = text[inner_start + name_lo : inner_start + name_hi]
+
+        params: dict[str, str] = {}
+        positional = 0
+        for part_lo, part_hi, eq in parts[1:]:
+            if eq >= 0:
+                key = inner_masked[part_lo:eq].strip().lower()
+                value = text[inner_start + eq + 1 : inner_start + part_hi]
+            else:
+                positional += 1
+                key = str(positional)
+                value = text[inner_start + part_lo : inner_start + part_hi]
+            value = value.strip()
+            if key in params:
+                duplicates += 1
+            params[key] = value
+
+        journal_raw: str | None = None
+        if "journal" in params:
+            cleaned = clean_journal_value(params["journal"])
+            if cleaned:
+                journal_raw = cleaned
+
+        records.append(
+            CitationRecord(
+                page_title=page.title,
+                template_name_raw=name_raw.strip(),
+                params=params,
+                journal_raw=journal_raw,
+                span=(start, end),
+            )
+        )
+    return PageScan(records=records, malformed=malformed, duplicate_params=duplicates)

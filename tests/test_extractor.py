@@ -2,17 +2,22 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wikicite import extractor
 from wikicite.aggregate import tally_scans
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
+    _split_top_level,
+    find_template_spans,
     read_jsonl,
     record_to_json,
     scan_page,
     write_jsonl,
 )
+
+from oracles import scan_page_by_tokens, split_by_tokens, template_spans_by_tokens
 
 
 def page(text: str, title: str = "Test") -> WikiPage:
@@ -288,3 +293,116 @@ def test_scanner_robust_on_wikitext_soup(tokens):
         assert re_rec.journal_raw == rec.journal_raw
     # determinism
     assert scan_page(source) == scan
+
+
+# Differential checks against the split-every-template oracle. The fragments
+# cover nesting, pipes and equals signs inside links and nested templates, an
+# unclosed link inside a nested template, brace and bracket runs of three and
+# four, stray closes, dangling opens, unclosed comments and nowiki, and name
+# variants that must and must not match.
+_scan_fragments = st.sampled_from(
+    [
+        "{{",
+        "}}",
+        "{{{",
+        "}}}",
+        "{{{{",
+        "[[",
+        "]]",
+        "[[[",
+        "|",
+        "=",
+        "_",
+        " ",
+        "\u00a0",
+        "\u3000",
+        "\n",
+        "cite",
+        "journal",
+        "cite journal",
+        "Cite_journal",
+        "Cite Journal",
+        "{{cite journal|",
+        "{{Cite_journal |",
+        "{{cite\u00a0journal|",
+        "{{Cite\u3000journal |",
+        "{{Cite Journal|",
+        "{{cite journal}}",
+        "journal=",
+        " journal = Nature ",
+        "|title=",
+        "{{lang|fr|Titre}}",
+        "{{x|[[y}}",
+        "[[Nature (journal)|Nature]]",
+        "[[a=b|c=d]]",
+        "{{{param|d=e}}}",
+        "<!--",
+        "-->",
+        "<!-- {{cite journal|journal=Hidden}} -->",
+        "<nowiki>",
+        "</nowiki>",
+        "''",
+        "Nature",
+    ]
+)
+_scan_text = st.lists(_scan_fragments, max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_text)
+@example("]]|a=b}}|c=d|e")
+@example("x={{a|[[b}}|c=d]]|e")
+def test_span_search_and_split_match_token_oracle(text):
+    assert find_template_spans(text) == template_spans_by_tokens(text)
+    assert _split_top_level(text) == split_by_tokens(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_text)
+@example("{{cite journal|a={{x|[[y}}|journal=Z}}")
+@example("{{cite journal|journal=[[a|b=c]]|title={{lang|fr|t=u}}}}")
+@example("{{{{cite journal|journal=N}}}} }} [[[x]]] {{{p}}}")
+@example("{{cite\u00a0journal|journal=N}} {{Cite\u3000journal|journal=M}} {{Cite Journal|journal=O}}")
+@example("{{cite journal|journal=N <!-- {{cite journal|journal=H}}")
+@example("{{cite journal|journal=N <nowiki>{{cite journal|journal=H}}")
+@example("{{cite journal {{x}}|journal=N}} {{cite journal [[l]]|journal=M}}")
+def test_scan_page_matches_split_every_template_oracle(text):
+    source = page(text)
+    assert scan_page(source) == scan_page_by_tokens(source)
+
+
+def test_only_citation_spans_are_split(monkeypatch):
+    calls = []
+
+    def counting_split(segment):
+        calls.append(segment)
+        return _split_top_level(segment)
+
+    monkeypatch.setattr(extractor, "_split_top_level", counting_split)
+    text = (
+        "{{Infobox journal|name=X|ref={{cite journal|journal=Nature|title=T}}}}\n"
+        "{{cite journal|title={{lang|fr|Le titre}}|journal=Science}}\n"
+        "{{reflist}} {{convert|1|km}} {{cite web|url=u}} [[Link|text]]\n"
+        "<!-- {{cite journal|journal=Decoy}} --> "
+        "<nowiki>{{cite journal|journal=Decoy}}</nowiki>\n"
+    )
+    records = scan_page(page(text)).records
+    assert [r.journal_raw for r in records] == ["Nature", "Science"]
+    assert len(calls) == len(records)
+
+
+def test_record_json_matches_json_dumps():
+    (rec,) = scan_page(
+        page('{{cite journal|journal=Nature \u00e9\u3000"q"\\|title=\u2603\t}}', "P\u00e4ge")
+    ).records
+    expected = json.dumps(
+        {
+            "page_title": rec.page_title,
+            "template_name_raw": rec.template_name_raw,
+            "params": rec.params,
+            "journal_raw": rec.journal_raw,
+            "span": list(rec.span),
+        },
+        ensure_ascii=False,
+    )
+    assert record_to_json(rec) == expected
