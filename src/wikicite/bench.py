@@ -6,18 +6,17 @@ in a fresh process so the measurement belongs to this pipeline:
 
     python -m wikicite.bench --megabytes 100
 
-Peak RSS is sampled from /proc/self/status while the pipeline runs; the
-ru_maxrss value is reported alongside but can be inflated by fork
-inheritance when the parent process is large.
+Peak RSS is the kernel's high-water mark for this process (``VmHWM`` in
+/proc/self/status), read once after the run: unlike a polling sampler it
+misses no short peak, and unlike ``ru_maxrss`` it does not carry over the
+RSS of the process that spawned this one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import resource
 import sys
-import threading
 import time
 
 from .aggregate import tally_scans
@@ -27,41 +26,12 @@ from .fixtures import StreamingDumpSource
 from .registry import load_default_registry
 
 
-def _read_vm_rss_kb() -> int | None:
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as fp:
-            for line in fp:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except OSError:
-        return None
-    return None
-
-
-class _PeakRssSampler(threading.Thread):
-    """Track the VmRSS high-water mark while the pipeline runs."""
-
-    def __init__(self, interval_s: float = 0.02):
-        super().__init__(daemon=True)
-        self._interval = interval_s
-        self._halt = threading.Event()
-        self.peak_kb = 0
-
-    def _sample(self) -> None:
-        rss = _read_vm_rss_kb()
-        if rss is not None and rss > self.peak_kb:
-            self.peak_kb = rss
-
-    def run(self) -> None:
-        while not self._halt.is_set():
-            self._sample()
-            self._halt.wait(self._interval)
-
-    def stop(self) -> int:
-        self._halt.set()
-        self.join()
-        self._sample()
-        return self.peak_kb
+def _peak_rss_kb() -> int:
+    with open("/proc/self/status", "r", encoding="ascii") as fp:
+        for line in fp:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise OSError("no VmHWM line in /proc/self/status")
 
 
 def main(argv=None) -> int:
@@ -77,17 +47,9 @@ def main(argv=None) -> int:
     )
     reader = open_dump(source)
 
-    sampler = _PeakRssSampler()
-    sampler.start()
     started = time.perf_counter()
     table = tally_scans(map(scan_page, filter_namespaces(reader, {0})), registry)
     elapsed = time.perf_counter() - started
-    peak_kb = sampler.stop()
-
-    # ru_maxrss is reported in kilobytes on Linux.
-    ru_maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if peak_kb == 0:
-        peak_kb = ru_maxrss_kb
     print(
         json.dumps(
             {
@@ -95,8 +57,7 @@ def main(argv=None) -> int:
                 "pages": reader.pages_yielded,
                 "citations": table.template_total,
                 "elapsed_s": elapsed,
-                "max_rss_kb": peak_kb,
-                "ru_maxrss_kb": ru_maxrss_kb,
+                "max_rss_kb": _peak_rss_kb(),
                 "largest_page_bytes": source.largest_page_bytes,
             }
         )

@@ -2,7 +2,10 @@
 
 Every stage reads and writes plain files so long runs can be resumed at
 stage boundaries, and every run drops a manifest.json recording input
-digests and the exact configuration. Outputs are byte-identical across
+digests, the exact configuration and the files written. A file appears
+under its final name only once complete (it is written as
+``<name>.partial`` and renamed), so a failed run never leaves a partial
+stage file for the next stage to accept. Outputs are byte-identical across
 repeated runs on identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error,
@@ -14,13 +17,16 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import os
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from . import __version__
 from .aggregate import (
@@ -110,39 +116,25 @@ class _HashingReader:
         }
 
 
-def _open_dump_arg(dump_arg: str) -> tuple[DumpReader, _HashingReader]:
-    if dump_arg == "-":
-        stream = _HashingReader(sys.stdin.buffer, "-")
-        return DumpReader(stream), stream
-    stream = _HashingReader(open(dump_arg, "rb"), dump_arg)
-    return DumpReader(stream, owns_stream=True), stream
+def _stream_manifest_entry(stream, path_label: str) -> dict:
+    hashing = _HashingReader(stream, path_label)
+    while hashing.read(1 << 20):
+        pass
+    return hashing.manifest_entry()
 
 
 def _file_manifest_entry(path_arg: str) -> dict:
-    digest = hashlib.sha256()
-    size = 0
     with open(path_arg, "rb") as fp:
-        while True:
-            chunk = fp.read(1 << 20)
-            if not chunk:
-                break
-            digest.update(chunk)
-            size += len(chunk)
-    return {"path": path_arg, "sha256": digest.hexdigest(), "bytes": size}
+        return _stream_manifest_entry(fp, path_arg)
 
 
 def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]:
     if registry_arg is None:
         text = default_registry_text()
-        data = text.encode("utf-8")
-        return (
-            parse_registry(text.splitlines()),
-            {
-                "path": "<builtin starter registry>",
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            },
+        entry = _stream_manifest_entry(
+            io.BytesIO(text.encode("utf-8")), "<builtin starter registry>"
         )
+        return parse_registry(text.splitlines()), entry
     return load_registry(registry_arg), _file_manifest_entry(registry_arg)
 
 
@@ -153,6 +145,20 @@ def _parse_namespaces(spec: str) -> set[int] | None:
         return {int(part) for part in spec.split(",") if part.strip()}
     except ValueError:
         raise UsageError(f"bad --namespaces value {spec!r}") from None
+
+
+def _dump_pages(args) -> tuple[DumpReader, Iterable[WikiPage], _HashingReader]:
+    """The ``--dump`` reader, its pages in the ``--namespaces`` kept, and
+    the stream that digests the dump as it is read."""
+    namespaces = _parse_namespaces(args.namespaces)
+    if args.dump == "-":
+        stream = _HashingReader(sys.stdin.buffer, "-")
+        reader = DumpReader(stream)
+    else:
+        stream = _HashingReader(open(args.dump, "rb"), args.dump)
+        reader = DumpReader(stream, owns_stream=True)
+    pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
+    return reader, pages, stream
 
 
 def parse_sweep(spec: str) -> list[int]:
@@ -184,28 +190,6 @@ def parse_sweep(spec: str) -> list[int]:
     return values
 
 
-def _write_manifest(args, out_dir: Path, inputs: dict, outputs: list[str]) -> None:
-    """The run's configuration is every parsed option of its subcommand."""
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    manifest = {
-        "tool": "wikicite",
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fp:
-        json.dump(manifest, fp, indent=2, sort_keys=True, ensure_ascii=False)
-        fp.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
     """Per-page scans, optionally fanned out to worker processes. The
     submission window is bounded so memory stays streaming-sized, and
@@ -224,20 +208,69 @@ def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
             yield window.popleft().result()
 
 
+# output plumbing ----------------------------------------------------
+
+
+class _Outputs:
+    """One stage's ``--out`` directory. Each file is written as
+    ``<name>.partial`` and renamed to ``name`` only once complete, so a
+    failed run leaves no partial file under a final name, and the manifest
+    lists exactly the files written."""
+
+    def __init__(self, out_arg: str):
+        self.dir = Path(out_arg)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.names: list[str] = []
+
+    @contextmanager
+    def open(self, name: str) -> Iterator[IO[str]]:
+        partial = self.dir / f"{name}.partial"
+        try:
+            with open(partial, "w", encoding="utf-8") as fp:
+                yield fp
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        os.replace(partial, self.dir / name)
+        self.names.append(name)
+
+    def json(self, name: str, obj) -> None:
+        with self.open(name) as fp:
+            json.dump(obj, fp, indent=2, sort_keys=True, ensure_ascii=False)
+            fp.write("\n")
+
+    def csv(self, name: str, header: list[str], rows: Iterable) -> None:
+        with self.open(name) as fp:
+            writer = csv.writer(fp, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def manifest(self, args, inputs: dict) -> None:
+        """The run's configuration is every parsed option of its subcommand."""
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        manifest = {
+            "tool": "wikicite",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "inputs": inputs,
+            "outputs": sorted(self.names),
+        }
+        self.json("manifest.json", manifest)
+
+
 # subcommands --------------------------------------------------------
 
 
 def cmd_extract(args) -> int:
-    out_dir = _out_dir(args)
-    namespaces = _parse_namespaces(args.namespaces)
-    reader, dump_stream = _open_dump_arg(args.dump)
-    pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
+    out = _Outputs(args.out)
+    reader, pages, dump_stream = _dump_pages(args)
 
     records_total = 0
     malformed_total = 0
     duplicate_params = 0
     pages_scanned = 0
-    with open(out_dir / "citations.jsonl", "w", encoding="utf-8") as fp:
+    with out.open("citations.jsonl") as fp:
         for scan in _scan_stream(pages, args.jobs):
             pages_scanned += 1
             malformed_total += scan.malformed
@@ -252,15 +285,8 @@ def cmd_extract(args) -> int:
         "malformed_total": malformed_total,
         "duplicate_params": duplicate_params,
     }
-    with open(out_dir / "extract_summary.json", "w", encoding="utf-8") as fp:
-        json.dump(summary, fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    _write_manifest(
-        args,
-        out_dir,
-        {"dump": dump_stream.manifest_entry()},
-        ["citations.jsonl", "extract_summary.json"],
-    )
+    out.json("extract_summary.json", summary)
+    out.manifest(args, {"dump": dump_stream.manifest_entry()})
     print(
         f"extract: pages={pages_scanned} records={records_total} "
         f"malformed={malformed_total} skipped={reader.pages_skipped}",
@@ -276,69 +302,62 @@ def _summary_count(summary, key: str, summary_path: Path) -> int:
     return value
 
 
-def _count_table_from_args(args, registry: JournalRegistry) -> tuple[CountTable, dict]:
-    """Build the count table from either a dump or an extract run."""
+def _table_from_citations(path: str, registry: JournalRegistry) -> tuple[CountTable, dict]:
+    """Tally an extract run's records, checked against its summary."""
     inputs: dict = {}
-    citations_path = getattr(args, "citations", None)
-    if citations_path is not None:
-        malformed_total, expected_records = 0, None
-        summary_path = Path(citations_path).with_name("extract_summary.json")
-        if summary_path.exists():
-            with open(summary_path, "r", encoding="utf-8") as fp:
-                summary = json.load(fp)
-            malformed_total = _summary_count(summary, "malformed_total", summary_path)
-            expected_records = _summary_count(summary, "records", summary_path)
-            inputs["extract_summary"] = _file_manifest_entry(str(summary_path))
-        else:
-            print(
-                "count: no extract_summary.json next to the citations file; "
-                "malformed_total set to 0",
-                file=sys.stderr,
-            )
-        with open(citations_path, "r", encoding="utf-8") as fp:
-            table = tally(read_jsonl(fp), registry, malformed_total=malformed_total)
-        if expected_records is not None and table.template_total != expected_records:
-            raise ValueError(
-                f"{citations_path} holds {table.template_total} records but "
-                f"{summary_path} says {expected_records}: truncated or stale"
-            )
-        inputs["citations"] = _file_manifest_entry(citations_path)
-        return table, inputs
-
-    namespaces = _parse_namespaces(args.namespaces)
-    reader, dump_stream = _open_dump_arg(args.dump)
-    pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
-    table = tally_scans(_scan_stream(pages, args.jobs), registry)
-    inputs["dump"] = dump_stream.manifest_entry()
+    malformed_total, expected_records = 0, None
+    summary_path = Path(path).with_name("extract_summary.json")
+    if summary_path.exists():
+        with open(summary_path, "r", encoding="utf-8") as fp:
+            summary = json.load(fp)
+        malformed_total = _summary_count(summary, "malformed_total", summary_path)
+        expected_records = _summary_count(summary, "records", summary_path)
+        inputs["extract_summary"] = _file_manifest_entry(str(summary_path))
+    else:
+        print(
+            "count: no extract_summary.json next to the citations file; "
+            "malformed_total set to 0",
+            file=sys.stderr,
+        )
+    with open(path, "r", encoding="utf-8") as fp:
+        table = tally(read_jsonl(fp), registry, malformed_total=malformed_total)
+    if expected_records is not None and table.template_total != expected_records:
+        raise ValueError(
+            f"{path} holds {table.template_total} records but "
+            f"{summary_path} says {expected_records}: truncated or stale"
+        )
+    inputs["citations"] = _file_manifest_entry(path)
     return table, inputs
 
 
-def _write_count_outputs(out_dir: Path, table: CountTable) -> list[str]:
-    with open(out_dir / "counts.csv", "w", encoding="utf-8") as fp:
+def _table_from_dump(args, registry: JournalRegistry) -> tuple[CountTable, dict]:
+    _, pages, dump_stream = _dump_pages(args)
+    table = tally_scans(_scan_stream(pages, args.jobs), registry)
+    return table, {"dump": dump_stream.manifest_entry()}
+
+
+def _write_count_outputs(out: _Outputs, table: CountTable) -> None:
+    with out.open("counts.csv") as fp:
         write_counts_csv(table, fp)
-    with open(out_dir / "counts.json", "w", encoding="utf-8") as fp:
+    with out.open("counts.json") as fp:
         write_counts_json(table, fp)
-    with open(out_dir / "unknown.csv", "w", encoding="utf-8") as fp:
+    with out.open("unknown.csv") as fp:
         write_unknown_csv(table, fp)
-    return ["counts.csv", "counts.json", "unknown.csv"]
 
 
 def cmd_count(args) -> int:
-    out_dir = _out_dir(args)
+    out = _Outputs(args.out)
     registry, registry_entry = _load_registry_arg(args.registry)
-    table, inputs = _count_table_from_args(args, registry)
+    if args.citations is not None:
+        table, inputs = _table_from_citations(args.citations, registry)
+    else:
+        table, inputs = _table_from_dump(args, registry)
     inputs["registry"] = registry_entry
-    outputs = _write_count_outputs(out_dir, table)
-
+    _write_count_outputs(out, table)
     if args.near_miss:
-        hits = near_misses(table.unknown, registry)
-        with open(out_dir / "near_miss.csv", "w", encoding="utf-8") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(["unknown", "candidate"])
-            writer.writerows(hits)
-        outputs.append("near_miss.csv")
+        out.csv("near_miss.csv", ["unknown", "candidate"], near_misses(table.unknown, registry))
 
-    _write_manifest(args, out_dir, inputs, outputs)
+    out.manifest(args, inputs)
     print(
         f"count: templates={table.template_total} journals={len(table.counts)} "
         f"excluded={table.excluded_count} unknown={len(table.unknown)} "
@@ -349,19 +368,16 @@ def cmd_count(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    out_dir = _out_dir(args)
+    out = _Outputs(args.out)
     registry, registry_entry = _load_registry_arg(args.registry)
-
-    inputs: dict = {"registry": registry_entry}
-    outputs: list[str] = []
     if args.counts is not None:
         with open(args.counts, "r", encoding="utf-8") as fp:
             table = read_counts_json(fp)
-        inputs["counts"] = _file_manifest_entry(args.counts)
+        inputs = {"counts": _file_manifest_entry(args.counts)}
     else:
-        table, dump_inputs = _count_table_from_args(args, registry)
-        inputs.update(dump_inputs)
-        outputs.extend(_write_count_outputs(out_dir, table))
+        table, inputs = _table_from_dump(args, registry)
+        _write_count_outputs(out, table)
+    inputs["registry"] = registry_entry
 
     with open(args.jcr, "r", encoding="utf-8") as fp:
         jcr_rows = read_jcr_csv(fp)
@@ -390,31 +406,20 @@ def cmd_correlate(args) -> int:
     except ValueError as exc:
         raise InsufficientDataError(str(exc)) from None
 
-    with open(out_dir / "correlations.csv", "w", encoding="utf-8") as fp:
+    with out.open("correlations.csv") as fp:
         write_correlations_csv(results, fp)
-    with open(out_dir / "scatter.csv", "w", encoding="utf-8") as fp:
+    with out.open("scatter.csv") as fp:
         write_scatter_csv(scatter_export(joined.metrics, args.labels), fp)
-    with open(out_dir / "overlap.csv", "w", encoding="utf-8") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["k", "m", "overlap"])
-        writer.writerow([overlap_k, overlap_m, overlap])
-    with open(out_dir / "join_audit.json", "w", encoding="utf-8") as fp:
-        json.dump(
-            {
-                "joined": n_joined,
-                "wiki_only": joined.wiki_only,
-                "jcr_only": joined.jcr_only,
-                "jcr_excluded": joined.jcr_excluded,
-            },
-            fp,
-            indent=2,
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        fp.write("\n")
-    outputs.extend(["correlations.csv", "scatter.csv", "overlap.csv", "join_audit.json"])
+    out.csv("overlap.csv", ["k", "m", "overlap"], [[overlap_k, overlap_m, overlap]])
+    audit = {
+        "joined": n_joined,
+        "wiki_only": joined.wiki_only,
+        "jcr_only": joined.jcr_only,
+        "jcr_excluded": joined.jcr_excluded,
+    }
+    out.json("join_audit.json", audit)
 
-    _write_manifest(args, out_dir, inputs, outputs)
+    out.manifest(args, inputs)
     print(
         f"correlate: joined={n_joined} sweep_points={len(sweep)} "
         f"overlap({overlap_k},{overlap_m})={overlap}",
@@ -424,7 +429,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    out_dir = _out_dir(args)
+    out = _Outputs(args.out)
     dated: list[tuple[date, CountTable]] = []
     inputs: dict = {}
     for index, spec in enumerate(args.table):
@@ -444,18 +449,15 @@ def cmd_growth(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    with open(out_dir / "growth.csv", "w", encoding="utf-8") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["date", "template_total"])
-        for when, total in series:
-            writer.writerow([when.isoformat(), total])
-    _write_manifest(args, out_dir, inputs, ["growth.csv"])
+    rows = [(when.isoformat(), total) for when, total in series]
+    out.csv("growth.csv", ["date", "template_total"], rows)
+    out.manifest(args, inputs)
     print(f"growth: points={len(series)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_gen_fixture(args) -> int:
-    out_dir = _out_dir(args)
+    out = _Outputs(args.out)
     corpus = build_corpus(
         page_count=args.pages,
         citations=args.citations,
@@ -465,26 +467,19 @@ def cmd_gen_fixture(args) -> int:
         no_journal=args.no_journal,
         seed=args.seed,
     )
-    with open(out_dir / "dump.xml", "w", encoding="utf-8") as fp:
+    with out.open("dump.xml") as fp:
         write_dump(corpus.pages, fp)
-    with open(out_dir / "truth.json", "w", encoding="utf-8") as fp:
-        json.dump(corpus.truth.as_json_dict(), fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    out.json("truth.json", corpus.truth.as_json_dict())
     registry_text = default_registry_text()
-    with open(out_dir / "registry.tsv", "w", encoding="utf-8") as fp:
+    with out.open("registry.tsv") as fp:
         fp.write(registry_text)
 
     registry = parse_registry(registry_text.splitlines())
     scored = sorted(registry.canonical - registry.exclusions)
-    with open(out_dir / "jcr.csv", "w", encoding="utf-8") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["journal", "total_citations", "impact_factor", "articles"])
-        for row in synthetic_jcr_rows(scored, seed=args.seed):
-            writer.writerow([row[0], row[1], repr(row[2]), row[3]])
+    rows = ([r[0], r[1], repr(r[2]), r[3]] for r in synthetic_jcr_rows(scored, seed=args.seed))
+    out.csv("jcr.csv", ["journal", "total_citations", "impact_factor", "articles"], rows)
 
-    _write_manifest(
-        args, out_dir, {}, ["dump.xml", "truth.json", "registry.tsv", "jcr.csv"]
-    )
+    out.manifest(args, {})
     print(
         f"gen-fixture: pages={corpus.truth.page_count} "
         f"citations={corpus.truth.citations_total}",
@@ -625,10 +620,7 @@ def main(argv=None) -> int:
     except (InsufficientDataError, DegenerateInputError) as exc:
         print(f"wikicite: insufficient data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DumpParseError, RegistryLoadError, JcrFormatError, RegistryMismatchError, ValueError) as exc:
-        print(f"wikicite: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (DumpParseError, RegistryLoadError, JcrFormatError, RegistryMismatchError, ValueError, OSError) as exc:
         print(f"wikicite: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -276,15 +276,15 @@ def page_xml(page: WikiPage, include_ns: bool = True) -> str:
     return "".join(parts)
 
 
-def dump_xml(pages: Iterable[WikiPage], include_ns: bool = True) -> str:
-    body = "".join(page_xml(page, include_ns=include_ns) for page in pages)
+def dump_xml(pages: Iterable[WikiPage]) -> str:
+    body = "".join(page_xml(page) for page in pages)
     return EXPORT_HEADER + body + EXPORT_FOOTER
 
 
-def write_dump(pages: Iterable[WikiPage], fp: IO[str], include_ns: bool = True) -> None:
+def write_dump(pages: Iterable[WikiPage], fp: IO[str]) -> None:
     fp.write(EXPORT_HEADER)
     for page in pages:
-        fp.write(page_xml(page, include_ns=include_ns))
+        fp.write(page_xml(page))
     fp.write(EXPORT_FOOTER)
 
 

@@ -582,6 +582,99 @@ def test_no_subcommand_is_usage_error():
     assert main([]) == 1
 
 
+def _manifest_outputs_match_files(out: Path) -> None:
+    outputs = json.loads(read(out / "manifest.json"))["outputs"]
+    written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+    assert outputs == written
+
+
+def test_manifest_lists_exactly_the_files_written(tmp_path, monkeypatch):
+    """Every command and input branch: the manifest's ``outputs`` are the
+    files in ``--out`` besides the manifest itself, with no ``*.partial``."""
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ["gen-fixture", "--pages", "30", "--citations", "120", "--out", "fx"],
+        ["extract", "--dump", "fx/dump.xml", "--out", "ex"],
+        ["count", "--citations", "ex/citations.jsonl", "--registry", "fx/registry.tsv",
+         "--out", "c1"],
+        ["count", "--dump", "fx/dump.xml", "--registry", "fx/registry.tsv", "--near-miss",
+         "--out", "c2"],
+        ["correlate", "--dump", "fx/dump.xml", "--registry", "fx/registry.tsv",
+         "--jcr", "fx/jcr.csv", "--out", "r1"],
+        ["correlate", "--counts", "c1/counts.json", "--registry", "fx/registry.tsv",
+         "--jcr", "fx/jcr.csv", "--out", "r2"],
+        ["growth", "--table", "2006-01-01=c1/counts.json",
+         "--table", "2007-01-01=c2/counts.json", "--out", "g"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        _manifest_outputs_match_files(tmp_path / argv[-1])
+    assert "near_miss.csv" in os.listdir("c2")
+    assert "counts.json" in os.listdir("r1")
+
+
+class TestAtomicOutputs:
+    """A stage's files appear under their final names only once complete."""
+
+    @pytest.fixture(scope="class")
+    def fixture_dump(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("atomic")
+        assert main(
+            ["gen-fixture", "--pages", "60", "--citations", "300", "--out", str(base)]
+        ) == 0
+        whole = (base / "dump.xml").read_bytes()
+        cut = base / "cut.xml"
+        cut.write_bytes(whole[: len(whole) // 2])
+        return base / "dump.xml", cut
+
+    def test_truncated_dump_leaves_nothing_to_count(self, fixture_dump, tmp_path, monkeypatch):
+        import wikicite.cli as cli
+
+        written = []
+        write_jsonl = cli.write_jsonl
+
+        def counting_write_jsonl(records, fp):
+            written.append(write_jsonl(records, fp))
+            return written[-1]
+
+        monkeypatch.setattr(cli, "write_jsonl", counting_write_jsonl)
+        out = tmp_path / "extract"
+        assert main(["extract", "--dump", str(fixture_dump[1]), "--out", str(out)]) == 2
+        assert sum(written) > 0  # records were streamed before the dump ran out
+        assert os.listdir(out) == []
+        code = main(
+            ["count", "--citations", str(out / "citations.jsonl"), "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+        assert not (tmp_path / "c" / "counts.json").exists()
+
+    def test_failed_rerun_keeps_previous_outputs(self, fixture_dump, tmp_path):
+        whole, cut = fixture_dump
+        out = tmp_path / "extract"
+        assert main(["extract", "--dump", str(whole), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert main(["extract", "--dump", str(cut), "--out", str(out)]) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        code = main(
+            ["count", "--citations", str(out / "citations.jsonl"), "--out", str(tmp_path / "c")]
+        )
+        assert code == 0
+
+    def test_no_partial_file_after_success_or_exception(self, tmp_path):
+        from wikicite.cli import _Outputs
+
+        outputs = _Outputs(str(tmp_path / "out"))
+        with outputs.open("kept.txt") as fp:
+            fp.write("whole\n")
+        with pytest.raises(RuntimeError):
+            with outputs.open("lost.txt") as fp:
+                fp.write("half")
+                raise RuntimeError("stage failed")
+        assert os.listdir(tmp_path / "out") == ["kept.txt"]
+        assert read(tmp_path / "out" / "kept.txt") == "whole\n"
+        assert outputs.names == ["kept.txt"]
+
+
 def test_manifest_written_and_stable(tmp_path):
     _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
     out = tmp_path / "out"
