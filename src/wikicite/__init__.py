@@ -9,22 +9,6 @@ from .aggregate import (
     tally,
     tally_scans,
 )
-from .bibliometrics import (
-    CorrelationResult,
-    DegenerateInputError,
-    JcrFormatError,
-    JcrRecord,
-    JoinResult,
-    JournalMetrics,
-    combined_top_overlap,
-    correlate,
-    join,
-    kendall_tau_b,
-    read_jcr_csv,
-    scatter_export,
-    tau_p_value,
-    topn_sweep,
-)
 from .dump_reader import (
     DumpParseError,
     DumpReader,
@@ -51,6 +35,17 @@ from .registry import (
 )
 
 __version__ = "0.1.0"
+
+
+# The names in ``__all__`` not imported above are the statistics', which load
+# on first use so that commands that never correlate do not import them.
+def __getattr__(name: str):
+    if name in __all__:
+        from . import bibliometrics
+
+        return getattr(bibliometrics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CitationRecord",

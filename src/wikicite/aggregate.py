@@ -10,11 +10,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from datetime import date
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .extractor import CitationRecord, PageScan
 from .registry import JournalRegistry, ResolutionKind
+
+if TYPE_CHECKING:
+    from datetime import date
 
 DEFAULT_UNKNOWN_CAP = 100_000
 

@@ -17,21 +17,19 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from . import __version__
 from .aggregate import (
     CountTable,
-    RegistryMismatchError,
     growth_report,
     read_counts_json,
     tally,
@@ -40,29 +38,51 @@ from .aggregate import (
     write_counts_json,
     write_unknown_csv,
 )
-from .bibliometrics import (
-    SERIES_NAMES,
-    DegenerateInputError,
-    JcrFormatError,
-    combined_top_overlap,
-    join,
-    read_jcr_csv,
-    scatter_export,
-    topn_sweep,
-    write_correlations_csv,
-    write_scatter_csv,
-)
 from .dump_reader import DumpParseError, DumpReader, WikiPage, filter_namespaces
 from .extractor import PageScan, read_jsonl, scan_page, write_jsonl
-from .fixtures import build_corpus, synthetic_jcr_rows, write_dump
 from .registry import (
     JournalRegistry,
-    RegistryLoadError,
     default_registry_text,
     load_registry,
     near_misses,
     parse_registry,
 )
+
+# Names only some commands use, bound into this module on first use so that
+# a command imports just what it runs: the process pool for --jobs > 1, the
+# statistics for correlate, the generator for gen-fixture, dates for growth.
+_DEFERRED = {
+    "concurrent.futures.process": ("ProcessPoolExecutor",),
+    "datetime": ("date",),
+    "wikicite.bibliometrics": (
+        "SERIES_NAMES",
+        "combined_top_overlap",
+        "join",
+        "read_jcr_csv",
+        "scatter_export",
+        "topn_sweep",
+        "write_correlations_csv",
+        "write_scatter_csv",
+    ),
+    "wikicite.fixtures": ("build_corpus", "synthetic_jcr_rows", "write_dump"),
+}
+
+
+def _load(module_name: str) -> None:
+    """Bind ``module_name``'s deferred names here. A name already bound is
+    left as it is: perfbench's probes and the tests rebind these names."""
+    module = importlib.import_module(module_name)
+    for name in _DEFERRED[module_name]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for module_name, names in _DEFERRED.items():
+        if name in names:
+            _load(module_name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,6 +218,7 @@ def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
         for page in pages:
             yield scan_page(page)
         return
+    _load("concurrent.futures.process")
     window: deque = deque()
     with ProcessPoolExecutor(max_workers=jobs) as executor:
         for page in pages:
@@ -368,6 +389,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    _load("wikicite.bibliometrics")
     out = _Outputs(args.out)
     registry, registry_entry = _load_registry_arg(args.registry)
     if args.counts is not None:
@@ -429,6 +451,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    _load("datetime")
     out = _Outputs(args.out)
     dated: list[tuple[date, CountTable]] = []
     inputs: dict = {}
@@ -457,6 +480,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_gen_fixture(args) -> int:
+    _load("wikicite.fixtures")
     out = _Outputs(args.out)
     corpus = build_corpus(
         page_count=args.pages,
@@ -617,10 +641,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"wikicite: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InsufficientDataError, DegenerateInputError) as exc:
+    except InsufficientDataError as exc:
         print(f"wikicite: insufficient data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DumpParseError, RegistryLoadError, JcrFormatError, RegistryMismatchError, ValueError, OSError) as exc:
+    # Every input-format error except DumpParseError is a ValueError.
+    except (DumpParseError, ValueError, OSError) as exc:
         print(f"wikicite: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

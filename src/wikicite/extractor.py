@@ -19,7 +19,6 @@ from .dump_reader import WikiPage
 
 TEMPLATE_NAME = "cite journal"
 
-_WS_RUN = re.compile(r"\s+")
 # Pipes and equals signs separate parts only outside nested templates and links.
 _NEST_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]")
 _COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
@@ -72,7 +71,7 @@ def mask_hidden_spans(text: str) -> str:
 def normalize_template_name(name: str) -> str:
     """Template-name equivalence: underscores are spaces, whitespace runs
     collapse, and only the first letter is case-insensitive."""
-    name = _WS_RUN.sub(" ", name.replace("_", " ")).strip()
+    name = " ".join(name.replace("_", " ").split())
     if not name:
         return ""
     return name[0].lower() + name[1:]

@@ -13,13 +13,9 @@ implies canonical membership.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Iterable
-
-_WS_RUN = re.compile(r"\s+")
 
 DEFAULT_REGISTRY_RESOURCE = "data/starter_registry.tsv"
 
@@ -40,7 +36,7 @@ def normalize_key(raw: str) -> str:
     Case-folded, "&" becomes "and", whitespace runs collapse, any leading
     "the " and trailing periods are dropped. Idempotent.
     """
-    key = _WS_RUN.sub(" ", raw.casefold().replace("&", " and ")).strip()
+    key = " ".join(raw.casefold().replace("&", " and ").split())
     while key.startswith("the "):
         key = key[4:]
     return key.rstrip(" .")
@@ -203,6 +199,8 @@ def load_registry(path) -> JournalRegistry:
 
 def default_registry_text() -> str:
     """Raw contents of the shipped starter registry file."""
+    from importlib import resources
+
     return (
         resources.files(__package__).joinpath(DEFAULT_REGISTRY_RESOURCE).read_text("utf-8")
     )

@@ -5,6 +5,8 @@ groups, directly; they must stay independent of the Fenwick-tree walk they
 check. The template-scan oracle tokenizes every brace, bracket, pipe and
 equals sign with one regex and splits every template, as the scanner did
 before it searched with ``str.find`` and split only ``cite journal`` spans.
+The normalizer oracles collapse whitespace runs with a regex, as the
+key and template-name normalizers did before they used ``str.split``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ from wikicite.extractor import (
     normalize_template_name,
 )
 from wikicite.registry import normalize_key
+
+
+_WS_RUN = re.compile(r"\s+")
+
+
+def normalize_key_by_regex(raw: str) -> str:
+    key = _WS_RUN.sub(" ", raw.casefold().replace("&", " and ")).strip()
+    while key.startswith("the "):
+        key = key[4:]
+    return key.rstrip(" .")
+
+
+def normalize_template_name_by_regex(name: str) -> str:
+    name = _WS_RUN.sub(" ", name.replace("_", " ")).strip()
+    if not name:
+        return ""
+    return name[0].lower() + name[1:]
 
 
 def brute_pair_counts(x, y) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -428,6 +429,36 @@ class TestCorrelate:
         )
         assert code == 3
 
+    def test_degenerate_sweep_exits_3(self, tmp_path, monkeypatch):
+        """A ``DegenerateInputError`` from the sweep is a data error, though
+        ``main`` never names the class."""
+        from wikicite import cli
+        from wikicite.bibliometrics import DegenerateInputError
+
+        def degenerate(*args):
+            raise DegenerateInputError("a fully tied list has no rank ordering")
+
+        monkeypatch.setattr(cli, "topn_sweep", degenerate)
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+        code = main(
+            ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+
+    def test_bad_jcr_exits_2(self, tmp_path, capsys):
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+        jcr_path.write_text(
+            "journal,total_citations,impact_factor,articles\nNature,1000,2.0\n",
+            encoding="utf-8",
+        )
+        code = main(
+            ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "expected 4 fields" in capsys.readouterr().err
+
     def test_registry_mismatch_detected(self, tmp_path):
         _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
         other = tmp_path / "other.tsv"
@@ -755,3 +786,122 @@ def test_cli_import_skips_network_modules():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+# What only some commands need: the pool (--jobs > 1), the statistics
+# (correlate), the generator (gen-fixture) and the builtin registry's loader.
+_DEFERRED_MODULES = (
+    "concurrent.futures.process",
+    "importlib.resources",
+    "multiprocessing",
+    "random",
+    "wikicite.bibliometrics",
+    "wikicite.fixtures",
+)
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter started with ``-S``, so that no site
+    ``.pth`` file preloads modules."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+    )
+
+
+def _bare_cli(*argv: str) -> tuple[int, list[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, and which of the
+    deferred modules the run added to ``sys.modules``."""
+    code = (
+        "import sys; before = set(sys.modules); from wikicite.cli import main; "
+        "code = main(sys.argv[1:]); "
+        f"loaded = [m for m in {_DEFERRED_MODULES!r} if m in sys.modules and m not in before]; "
+        "import json; print(json.dumps([code, loaded]))"
+    )
+    result = _fresh_python(code, *argv)
+    assert result.returncode == 0, result.stderr
+    exit_code, loaded = json.loads(result.stdout)
+    return exit_code, loaded
+
+
+def test_commands_import_only_what_they_use(tmp_path):
+    fx, out = tmp_path / "fx", tmp_path / "out"
+    assert _bare_cli("gen-fixture", "--pages", "60", "--citations", "200", "--out", str(fx)) == (
+        0, ["importlib.resources", "random", "wikicite.fixtures"],
+    )
+    registry = str(fx / "registry.tsv")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert _bare_cli(
+        "count", "--citations", str(empty), "--registry", registry, "--out", str(out / "setup")
+    ) == (0, [])
+    assert _bare_cli(
+        "count", "--dump", str(fx / "dump.xml"), "--registry", registry, "--out", str(out / "count")
+    ) == (0, [])
+    assert _bare_cli(
+        "correlate", "--counts", str(out / "count" / "counts.json"), "--registry", registry,
+        "--jcr", str(fx / "jcr.csv"), "--out", str(out / "correlate"),
+    ) == (0, ["wikicite.bibliometrics"])
+
+
+def test_lazy_names_resolve_in_a_fresh_interpreter():
+    """Every ``wikicite.cli`` name the benchmark's probes rebind, and every
+    name in ``wikicite.__all__``, resolves before any command has run."""
+    probed = set(re.findall(r'"wikicite\.cli:(\w+)', (_ROOT / "perfbench" / "spans.py").read_text()))
+    assert {"topn_sweep", "join", "write_correlations_csv", "write_scatter_csv"} <= probed
+    code = (
+        "import sys, wikicite, wikicite.cli as cli; namespace = {}; "
+        "exec('from wikicite import *', namespace); "
+        "print([n for n in sys.argv[1:] if not hasattr(cli, n)], "
+        "[n for n in wikicite.__all__ if not hasattr(wikicite, n) or n not in namespace])"
+    )
+    result = _fresh_python(code, *sorted(probed | {"ProcessPoolExecutor"}))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[] []"
+
+
+def test_commands_call_rebound_names(small_dump, tmp_path, monkeypatch):
+    """A name rebound on ``wikicite.cli`` is what the command calls, as the
+    benchmark's probes rely on; loading the deferred names keeps it."""
+    from wikicite import cli
+
+    called = []
+    sweep = cli.topn_sweep
+
+    def counting_sweep(*args):
+        called.append("topn_sweep")
+        return sweep(*args)
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            called.append("ProcessPoolExecutor")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "topn_sweep", counting_sweep)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+    assert main(
+        ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
+         "--out", str(tmp_path / "correlate")]
+    ) == 0
+    assert main(
+        ["count", "--dump", str(small_dump), "--jobs", "2", "--out", str(tmp_path / "count")]
+    ) == 0
+    assert called.count("topn_sweep") == 4
+    assert called.count("ProcessPoolExecutor") == 1
+
+
+@pytest.mark.parametrize("bad", ["citations", "dump"])
+def test_bad_count_input_exits_2_in_a_fresh_interpreter(tmp_path, bad):
+    path = tmp_path / "bad"
+    path.write_text("{not json\n" if bad == "citations" else "<mediawiki><page>", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "wikicite.cli", "count", f"--{bad}", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+    )
+    assert result.returncode == 2, result.stderr
+    assert "wikicite: input error:" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -1,7 +1,11 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicite.extractor import normalize_template_name
 from wikicite.registry import (
     JournalRegistry,
     RegistryLoadError,
@@ -11,7 +15,13 @@ from wikicite.registry import (
     parse_registry,
 )
 
-from oracles import near_misses_by_pairs
+from oracles import (
+    near_misses_by_pairs,
+    normalize_key_by_regex,
+    normalize_template_name_by_regex,
+)
+
+_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
 @pytest.mark.parametrize(
@@ -35,6 +45,25 @@ def test_normalize_key_examples(raw, key):
 def test_normalize_key_idempotent(raw):
     once = normalize_key(raw)
     assert normalize_key(once) == once
+
+
+def test_regex_whitespace_is_str_whitespace():
+    """``\\s`` in a str pattern and ``str.isspace`` agree on every code
+    point, so ``str.split`` breaks at exactly the runs ``\\s+`` matched."""
+    space = re.compile(r"\s")
+    mismatched = [
+        hex(ord(c))
+        for c in map(chr, range(sys.maxunicode + 1))
+        if (space.fullmatch(c) is not None) != c.isspace()
+    ]
+    assert mismatched == []
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.sampled_from(_WHITESPACE + "_&.theTHE Nßİ"), max_size=40))
+def test_normalizers_match_regex_oracles(raw):
+    assert normalize_key(raw) == normalize_key_by_regex(raw)
+    assert normalize_template_name(raw) == normalize_template_name_by_regex(raw)
 
 
 def test_resolve_alias_hit(starter_registry):
