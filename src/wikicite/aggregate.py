@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 from typing import IO, TYPE_CHECKING, Iterable
 
 from .extractor import CitationRecord, PageScan
-from .registry import JournalRegistry, ResolutionKind
+from .registry import JournalRegistry, Resolution, ResolutionKind
 
 if TYPE_CHECKING:
     from datetime import date
 
 DEFAULT_UNKNOWN_CAP = 100_000
+_RESOLVED_LIMIT = DEFAULT_UNKNOWN_CAP
 
 COUNTS_FORMAT = "wikicite-counts-v1"
 
@@ -80,9 +81,15 @@ def tally(
     Each record with a journal contributes to exactly one of the canonical
     counts, the excluded tally, or the unknown map; records without a journal
     parameter contribute to ``template_total`` only.
+
+    Each distinct journal string is resolved once per call: a dense corpus
+    repeats the same strings, and ``registry.resolve`` depends on nothing
+    else. The memo is emptied when it reaches ``_RESOLVED_LIMIT`` strings,
+    so that its memory stays bounded like the unknown map's.
     """
     counts: dict[str, int] = {}
     unknown: dict[str, int] = {}
+    resolved: dict[str, Resolution] = {}
     excluded = 0
     overflow = 0
     total = 0
@@ -91,7 +98,11 @@ def tally(
         raw = record.journal_raw
         if raw is None:
             continue
-        resolution = registry.resolve(raw)
+        resolution = resolved.get(raw)
+        if resolution is None:
+            if len(resolved) >= _RESOLVED_LIMIT:
+                resolved.clear()
+            resolution = resolved[raw] = registry.resolve(raw)
         if resolution.kind is ResolutionKind.CANONICAL:
             counts[resolution.name] = counts.get(resolution.name, 0) + 1
         elif resolution.kind is ResolutionKind.EXCLUDED:
@@ -187,6 +198,9 @@ def to_json_dict(table: CountTable) -> dict:
     }
 
 
+_COUNTS_KEYS = frozenset(to_json_dict(CountTable.empty("")))
+
+
 def _count(value, what: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"corrupt count table: {what} must be a non-negative integer")
@@ -205,24 +219,31 @@ def _tallies(obj, what: str) -> dict[str, int]:
 
 def from_json_dict(obj) -> CountTable:
     """Parse a counts document, rejecting anything :func:`to_json_dict`
-    could not have written: non-string keys, counts that are not
-    non-negative integers, and derived fields that disagree with the tallies.
+    could not have written: a missing or extra key, non-string keys or
+    fingerprint, counts that are not non-negative integers, and derived
+    fields that disagree with the tallies.
     """
     if not isinstance(obj, dict) or obj.get("format") != COUNTS_FORMAT:
         raise ValueError(f"not a {COUNTS_FORMAT} document")
-    try:
-        table = CountTable(
-            counts=_tallies(obj["counts"], "counts"),
-            excluded_count=_count(obj["excluded_count"], "excluded_count"),
-            unknown=_tallies(obj["unknown"], "unknown"),
-            unknown_overflow=_count(obj.get("unknown_overflow", 0), "unknown_overflow"),
-            template_total=_count(obj["template_total"], "template_total"),
-            malformed_total=_count(obj["malformed_total"], "malformed_total"),
-            registry_fingerprint=str(obj["registry_fingerprint"]),
-        )
-        stored_no_journal = _count(obj["no_journal_count"], "no_journal_count")
-    except KeyError as exc:
-        raise ValueError(f"corrupt count table: missing {exc}") from None
+    missing = _COUNTS_KEYS - obj.keys()
+    if missing:
+        raise ValueError(f"corrupt count table: missing {sorted(missing)}")
+    extra = obj.keys() - _COUNTS_KEYS
+    if extra:
+        raise ValueError(f"corrupt count table: unexpected keys {sorted(extra, key=repr)}")
+    fingerprint = obj["registry_fingerprint"]
+    if type(fingerprint) is not str:
+        raise ValueError("corrupt count table: registry_fingerprint must be a string")
+    table = CountTable(
+        counts=_tallies(obj["counts"], "counts"),
+        excluded_count=_count(obj["excluded_count"], "excluded_count"),
+        unknown=_tallies(obj["unknown"], "unknown"),
+        unknown_overflow=_count(obj["unknown_overflow"], "unknown_overflow"),
+        template_total=_count(obj["template_total"], "template_total"),
+        malformed_total=_count(obj["malformed_total"], "malformed_total"),
+        registry_fingerprint=fingerprint,
+    )
+    stored_no_journal = _count(obj["no_journal_count"], "no_journal_count")
     if table.no_journal_count < 0:
         raise ValueError("corrupt count table: tallies exceed template_total")
     if stored_no_journal != table.no_journal_count:

@@ -30,7 +30,7 @@ _WIKILINK = re.compile(r"\[\[([^|\[\]]*)(?:\|([^\[\]]*))?\]\]")
 _QUOTE_MARKUP = re.compile(r"'{2,}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationRecord:
     """One ``cite journal`` invocation, parsed into its parameters.
 
@@ -47,7 +47,7 @@ class CitationRecord:
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageScan:
     """All citations found on one page plus the per-page tallies."""
 
@@ -107,8 +107,20 @@ def _split_top_level(segment: str) -> list[tuple[int, int, int]]:
     Returns (start, end, eq) triples relative to ``segment``, where ``eq`` is
     the offset of the first top-level ``=`` inside the part, or -1. Pipes and
     equals inside nested ``{{...}}`` or ``[[...]]`` do not count.
+
+    A segment with no ``{{`` and no ``[[`` never leaves depth 0 (a stray
+    ``}}`` or ``]]`` clamps to 0), so every pipe splits it and each part's
+    first ``=`` counts: it is split with ``str.split`` alone.
     """
     parts: list[tuple[int, int, int]] = []
+    if "{{" not in segment and "[[" not in segment:
+        start = 0
+        for part in segment.split("|"):
+            eq = part.find("=")
+            end = start + len(part)
+            parts.append((start, end, eq if eq < 0 else start + eq))
+            start = end + 1
+        return parts
     brace = link = 0
     start = lo = 0
     eq = -1
@@ -143,8 +155,11 @@ def clean_journal_value(value: str) -> str:
     """Reduce a raw journal value to plain text.
 
     Comments are dropped, a wiki link becomes its display text (or its target
-    when no display text exists), and quote markup is stripped.
+    when no display text exists), and quote markup is stripped. A value with
+    no ``<``, ``[`` or ``'`` holds none of these and is only stripped.
     """
+    if "<" not in value and "[" not in value and "'" not in value:
+        return value.strip()
     value = _COMMENT.sub("", value)
 
     def link_text(match: re.Match) -> str:
@@ -162,7 +177,11 @@ def scan_page(page: WikiPage) -> PageScan:
     """Scan one page for ``cite journal`` templates, splitting only spans
     whose name (the text up to the first ``|``) matches. A ``{{`` or ``[[``
     in the name keeps it from matching; without one, the name is the first
-    top-level part, as ``}}`` and ``]]`` at depth 0 clamp to 0."""
+    top-level part, as ``}}`` and ``]]`` at depth 0 clamp to 0.
+
+    A name is normalized only when it contains ``journal``. The test is
+    exact: normalizing case-folds only the first letter, and ``_`` and
+    whitespace never occur inside ``journal``."""
     text = page.text
     masked = mask_hidden_spans(text)
     spans, malformed = find_template_spans(masked)
@@ -176,9 +195,11 @@ def scan_page(page: WikiPage) -> PageScan:
             name_end = inner_end
         # Matching runs on the masked text so a comment inside the name
         # behaves as if removed; the stored raw name is as written.
-        if normalize_template_name(masked[inner_start:name_end]) != TEMPLATE_NAME:
+        name = masked[inner_start:name_end]
+        if "journal" not in name or normalize_template_name(name) != TEMPLATE_NAME:
             continue
         name_raw = text[inner_start:name_end]
+        inner = text[inner_start:inner_end]
         inner_masked = masked[inner_start:inner_end]
         parts = _split_top_level(inner_masked)
 
@@ -187,11 +208,11 @@ def scan_page(page: WikiPage) -> PageScan:
         for part_lo, part_hi, eq in parts[1:]:
             if eq >= 0:
                 key = inner_masked[part_lo:eq].strip().lower()
-                value = text[inner_start + eq + 1 : inner_start + part_hi]
+                value = inner[eq + 1 : part_hi]
             else:
                 positional += 1
                 key = str(positional)
-                value = text[inner_start + part_lo : inner_start + part_hi]
+                value = inner[part_lo:part_hi]
             value = value.strip()
             if key in params:
                 duplicates += 1
@@ -216,7 +237,9 @@ def scan_page(page: WikiPage) -> PageScan:
 
 
 _RECORD_KEYS = {"page_title", "template_name_raw", "params", "journal_raw", "span"}
+_STR_TYPE = frozenset({str})
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def record_to_json(record: CitationRecord) -> str:
@@ -255,7 +278,7 @@ def _record_from_json(obj) -> CitationRecord:
     if type(page_title) is not str or type(template_name_raw) is not str:
         raise ValueError("page_title and template_name_raw must be strings")
     # JSON object keys are always strings; only the values need a check
-    if type(params) is not dict or not all(type(v) is str for v in params.values()):
+    if type(params) is not dict or not set(map(type, params.values())) <= _STR_TYPE:
         raise ValueError("params must map strings to strings")
     if journal_raw is not None and type(journal_raw) is not str:
         raise ValueError("journal_raw must be a string or null")
@@ -272,13 +295,20 @@ def _record_from_json(obj) -> CitationRecord:
 
 def read_jsonl(fp: IO[str]) -> Iterator[CitationRecord]:
     """Parse records written by :func:`write_jsonl`; a line that it could
-    not have written raises ValueError."""
+    not have written raises ValueError naming the line.
+
+    Each stripped line is decoded in one ``raw_decode`` call, which must
+    consume all of it: that is ``json.loads`` without its whitespace scans.
+    """
     for line_no, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = _record_from_json(json.loads(line))
+            obj, end = _DECODE(line)
+            if end != len(line):
+                raise ValueError(f"extra data at column {end + 1}")
+            record = _record_from_json(obj)
         except ValueError as exc:
             raise ValueError(f"bad citation record on line {line_no}: {exc}") from None
         yield record

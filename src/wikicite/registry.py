@@ -77,6 +77,18 @@ class JournalRegistry:
 
         ``aliases`` maps alias text (not yet normalized) to canonical names.
         """
+        keyed = {text: (normalize_key(text), target) for text, target in (aliases or {}).items()}
+        return cls._build(canonical, keyed, exclusions)
+
+    @classmethod
+    def _build(
+        cls,
+        canonical: Iterable[str],
+        keyed_aliases: dict[str, tuple[str, str]],
+        exclusions: Iterable[str],
+    ) -> "JournalRegistry":
+        """:meth:`build` with each alias text already mapped to its
+        normalized key and its canonical name."""
         canonical_set = frozenset(canonical) | frozenset(exclusions)
         exclusion_set = frozenset(exclusions)
         key_to_name: dict[str, str] = {}
@@ -91,8 +103,7 @@ class JournalRegistry:
                 )
             key_to_name[key] = name
         alias_map: dict[str, str] = {}
-        for alias_text, target in sorted((aliases or {}).items()):
-            key = normalize_key(alias_text)
+        for alias_text, (key, target) in sorted(keyed_aliases.items()):
             if not key:
                 raise RegistryLoadError(f"alias {alias_text!r} normalizes to nothing")
             if target not in canonical_set:
@@ -147,7 +158,7 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
     then aliases are validated against them."""
     canonical: set[str] = set()
     exclusions: set[str] = set()
-    alias_lines: list[tuple[int, str, str]] = []
+    alias_lines: list[tuple[int, str, str, str]] = []
     seen_alias_keys: dict[str, int] = {}
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -176,20 +187,20 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
                     line_no,
                 )
             seen_alias_keys[key] = line_no
-            alias_lines.append((line_no, fields[1], fields[2]))
+            alias_lines.append((line_no, fields[1], key, fields[2]))
         else:
             raise RegistryLoadError(f"unknown line kind {kind!r}", line_no)
 
     aliases = {}
     declared = canonical | exclusions
-    for line_no, alias_text, target in alias_lines:
+    for line_no, alias_text, key, target in alias_lines:
         if target not in declared:
             raise RegistryLoadError(
                 f"alias {alias_text!r} points at undeclared journal {target!r}",
                 line_no,
             )
-        aliases[alias_text] = target
-    return JournalRegistry.build(canonical, aliases, exclusions)
+        aliases[alias_text] = (key, target)
+    return JournalRegistry._build(canonical, aliases, exclusions)
 
 
 def load_registry(path) -> JournalRegistry:

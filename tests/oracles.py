@@ -7,6 +7,9 @@ equals sign with one regex and splits every template, as the scanner did
 before it searched with ``str.find`` and split only ``cite journal`` spans.
 The normalizer oracles collapse whitespace runs with a regex, as the
 key and template-name normalizers did before they used ``str.split``.
+The journal cleaner oracle always runs its three regexes, and the tally
+oracle resolves every record's journal, as both did before they took
+shortcuts for plain values and repeated strings.
 """
 
 from __future__ import annotations
@@ -16,16 +19,19 @@ import math
 import re
 from collections import Counter
 
+from wikicite.aggregate import CountTable
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
+    _COMMENT,
+    _QUOTE_MARKUP,
+    _WIKILINK,
     TEMPLATE_NAME,
     CitationRecord,
     PageScan,
-    clean_journal_value,
     mask_hidden_spans,
     normalize_template_name,
 )
-from wikicite.registry import normalize_key
+from wikicite.registry import ResolutionKind, normalize_key
 
 
 _WS_RUN = re.compile(r"\s+")
@@ -43,6 +49,54 @@ def normalize_template_name_by_regex(name: str) -> str:
     if not name:
         return ""
     return name[0].lower() + name[1:]
+
+
+def clean_journal_value_by_regex(value: str) -> str:
+    value = _COMMENT.sub("", value)
+
+    def link_text(match: re.Match) -> str:
+        display = match.group(2)
+        if display is not None and display.strip():
+            return display
+        return match.group(1)
+
+    value = _WIKILINK.sub(link_text, value)
+    value = _QUOTE_MARKUP.sub("", value)
+    return value.strip()
+
+
+def tally_resolving_each(records, registry, *, malformed_total=0, unknown_cap):
+    """Count records per canonical journal, resolving every record's journal."""
+    counts: dict[str, int] = {}
+    unknown: dict[str, int] = {}
+    excluded = 0
+    overflow = 0
+    total = 0
+    for record in records:
+        total += 1
+        raw = record.journal_raw
+        if raw is None:
+            continue
+        resolution = registry.resolve(raw)
+        if resolution.kind is ResolutionKind.CANONICAL:
+            counts[resolution.name] = counts.get(resolution.name, 0) + 1
+        elif resolution.kind is ResolutionKind.EXCLUDED:
+            excluded += 1
+        elif raw in unknown:
+            unknown[raw] += 1
+        elif len(unknown) < unknown_cap:
+            unknown[raw] = 1
+        else:
+            overflow += 1
+    return CountTable(
+        counts=counts,
+        excluded_count=excluded,
+        unknown=unknown,
+        unknown_overflow=overflow,
+        template_total=total,
+        malformed_total=malformed_total,
+        registry_fingerprint=registry.fingerprint,
+    )
 
 
 def brute_pair_counts(x, y) -> tuple[int, int, int]:
@@ -214,7 +268,7 @@ def scan_page_by_tokens(page: WikiPage) -> PageScan:
 
         journal_raw: str | None = None
         if "journal" in params:
-            cleaned = clean_journal_value(params["journal"])
+            cleaned = clean_journal_value_by_regex(params["journal"])
             if cleaned:
                 journal_raw = cleaned
 

@@ -3,7 +3,10 @@ import random
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wikicite import aggregate
 from wikicite.aggregate import (
     CountTable,
     RegistryMismatchError,
@@ -19,6 +22,9 @@ from wikicite.aggregate import (
 )
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import CitationRecord, scan_page
+from wikicite.registry import JournalRegistry
+
+from oracles import tally_resolving_each
 
 
 def record(journal: str | None, title: str = "Page") -> CitationRecord:
@@ -70,6 +76,48 @@ def test_unknown_cap_spills_to_overflow(starter_registry):
     assert table.unknown_overflow == 1
     assert table.template_total == 4
     assert table.no_journal_count == 0
+
+
+class CountingRegistry:
+    """The two members ``tally`` uses, counting resolve calls per string."""
+
+    def __init__(self, registry: JournalRegistry):
+        self.registry = registry
+        self.fingerprint = registry.fingerprint
+        self.calls: dict[str, int] = {}
+
+    def resolve(self, raw: str):
+        self.calls[raw] = self.calls.get(raw, 0) + 1
+        return self.registry.resolve(raw)
+
+
+_SMALL_REGISTRY = JournalRegistry.build(["Nature", "Science"], {"Nat.": "Nature"}, ["Daily News"])
+_raw_journals = st.sampled_from(
+    [None, "Nature", "nature", "Nat.", "NATURE.", "Science", "Daily News", "U1", "U2", "U3",
+     "U4", "U5", "u1"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_journals, max_size=40))
+def test_tally_matches_resolve_each_oracle(journals):
+    records = [record(journal) for journal in journals]
+    registry = CountingRegistry(_SMALL_REGISTRY)
+    table = tally(records, registry, malformed_total=2, unknown_cap=3)
+    expected = tally_resolving_each(records, _SMALL_REGISTRY, malformed_total=2, unknown_cap=3)
+    assert table == expected
+    assert list(table.unknown) == list(expected.unknown)
+    assert registry.calls == dict.fromkeys({j for j in journals if j is not None}, 1)
+
+
+def test_tally_memo_limit_keeps_the_table(monkeypatch):
+    monkeypatch.setattr(aggregate, "_RESOLVED_LIMIT", 2)
+    journals = ["Nature", "Nature", "U1", "Nature", "Nat.", "U2", "U2", "U1", "Daily News"] * 3
+    records = [record(journal) for journal in journals]
+    registry = CountingRegistry(_SMALL_REGISTRY)
+    table = tally(records, registry, unknown_cap=2)
+    assert table == tally_resolving_each(records, _SMALL_REGISTRY, unknown_cap=2)
+    assert len(journals) > sum(registry.calls.values()) > len(registry.calls)
 
 
 def _random_table(rng: random.Random, fingerprint: str) -> CountTable:

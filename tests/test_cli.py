@@ -211,20 +211,26 @@ class TestCount:
         ) == 0
         return base, extract_out
 
-    def _count_copy(self, extracted_300, tmp_path, lines=None, summary=True, edit=None):
-        """Count a staged copy of the extract, cut to ``lines`` lines and
-        with ``edit`` applied to the first record's decoded object."""
+    def _count_copy(
+        self, extracted_300, tmp_path, lines=None, summary=True, edit=None, rewrite=None
+    ):
+        """Count a staged copy of the extract, cut to ``lines`` lines, with
+        ``edit`` applied to the first record's decoded object and ``rewrite``
+        to the first line's text."""
         base, extract_out = extracted_300
         staged = tmp_path / "staged"
         staged.mkdir()
         text = read(extract_out / "citations.jsonl")
         if lines is not None:
             text = "".join(text.splitlines(keepends=True)[:lines])
+        first, rest = text.split("\n", 1)
         if edit is not None:
-            first, rest = text.split("\n", 1)
             record = json.loads(first)
             edit(record)
-            text = json.dumps(record) + "\n" + rest
+            first = json.dumps(record)
+        if rewrite is not None:
+            first = rewrite(first)
+        text = first + "\n" + rest
         (staged / "citations.jsonl").write_text(text, encoding="utf-8")
         if summary:
             (staged / "extract_summary.json").write_text(
@@ -266,6 +272,9 @@ class TestCount:
             ("template_name_raw", None),
             ("params", [["journal", "Nature"]]),
             ("params", {"journal": 5}),
+            ("params", {"journal": None}),
+            ("params", {"journal": ["Nature"]}),
+            ("params", {"journal": {"name": "Nature"}}),
             ("journal_raw", 5),
             ("span", "ab"),
             ("span", [1, 2, 3]),
@@ -278,7 +287,8 @@ class TestCount:
             ("extra", "field"),
         ],
         ids=[
-            "title-int", "name-null", "params-list", "params-int-value", "journal-int",
+            "title-int", "name-null", "params-list", "params-int-value", "params-null-value",
+            "params-list-value", "params-object-value", "journal-int",
             "span-str", "span-three-items", "span-float", "span-bool", "span-negative",
             "span-reversed", "span-empty", "journal-missing", "extra-key",
         ],
@@ -291,6 +301,29 @@ class TestCount:
                 record[field] = value
 
         code, out = self._count_copy(extracted_300, tmp_path, edit=edit)
+        assert code == 2
+        assert "bad citation record on line 1" in capsys.readouterr().err
+        assert not (out / "counts.json").exists()
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda line: line + " x",
+            lambda line: line + line,
+            lambda line: line + ",",
+            lambda line: "[]",
+            lambda line: '"x"',
+            lambda line: "1",
+            lambda line: "\ufeff" + line,
+            lambda line: re.sub(r'"span": \[\d+', '"span": [NaN', line),
+        ],
+        ids=[
+            "trailing-text", "two-objects", "trailing-comma", "array", "string", "number",
+            "bom", "span-nan",
+        ],
+    )
+    def test_undecodable_line_is_input_error(self, extracted_300, tmp_path, capsys, rewrite):
+        code, out = self._count_copy(extracted_300, tmp_path, rewrite=rewrite)
         assert code == 2
         assert "bad citation record on line 1" in capsys.readouterr().err
         assert not (out / "counts.json").exists()
@@ -480,16 +513,22 @@ _BAD_COUNTS = [
     ("unknown", -5, "non-negative integer"),
     ("unknown", True, "non-negative integer"),
     ("no_journal_count", 999999, "disagrees"),
+    ("registry_fingerprint", None, "registry_fingerprint must be a string"),
+    ("registry_fingerprint", 123, "registry_fingerprint must be a string"),
+    ("unknown_overflow", KeyError, "missing ['unknown_overflow']"),
+    ("extra", "key", "unexpected keys ['extra']"),
 ]
 
 
 def _corrupt_counts(counts_path, field, value):
     obj = json.loads(read(counts_path))
-    if field == "no_journal_count":
-        obj[field] = value
-    else:
+    if value is KeyError:
+        del obj[field]
+    elif field in ("counts", "unknown"):
         name = next(iter(obj["counts"]))
         obj[field][name if field == "counts" else "Some Unknown Journal"] = value
+    else:
+        obj[field] = value
     counts_path.write_text(json.dumps(obj), encoding="utf-8")
 
 
@@ -847,17 +886,39 @@ def test_commands_import_only_what_they_use(tmp_path):
 
 
 def test_lazy_names_resolve_in_a_fresh_interpreter():
-    """Every ``wikicite.cli`` name the benchmark's probes rebind, and every
-    name in ``wikicite.__all__``, resolves before any command has run."""
-    probed = set(re.findall(r'"wikicite\.cli:(\w+)', (_ROOT / "perfbench" / "spans.py").read_text()))
-    assert {"topn_sweep", "join", "write_correlations_csv", "write_scatter_csv"} <= probed
+    """Every ``module:attr`` and ``module:Class.method`` target that the
+    benchmark's probes rebind, and every name in ``wikicite.__all__``,
+    resolves before any command has run. A method must be the class's own,
+    as the probes rebind it there. So a renamed layer function fails here,
+    not only in a traced benchmark run."""
+    probed = set(re.findall(r'Probe\("([\w.]+:[\w.]+)"', (_ROOT / "perfbench" / "spans.py").read_text()))
+    assert {
+        "wikicite.cli:topn_sweep",
+        "wikicite.cli:join",
+        "wikicite.cli:write_correlations_csv",
+        "wikicite.cli:write_scatter_csv",
+        "wikicite.extractor:_split_top_level",
+        "wikicite.extractor:clean_journal_value",
+        "wikicite.registry:JournalRegistry.resolve",
+    } <= probed
     code = (
-        "import sys, wikicite, wikicite.cli as cli; namespace = {}; "
-        "exec('from wikicite import *', namespace); "
-        "print([n for n in sys.argv[1:] if not hasattr(cli, n)], "
+        "import importlib, sys, wikicite\n"
+        "def found(target):\n"
+        "    module, _, path = target.partition(':')\n"
+        "    *owners, attr = path.split('.')\n"
+        "    try:\n"
+        "        owner = importlib.import_module(module)\n"
+        "        for name in owners:\n"
+        "            owner = getattr(owner, name)\n"
+        "    except (ImportError, AttributeError):\n"
+        "        return False\n"
+        "    return attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)\n"
+        "namespace = {}\n"
+        "exec('from wikicite import *', namespace)\n"
+        "print([t for t in sys.argv[1:] if not found(t)], "
         "[n for n in wikicite.__all__ if not hasattr(wikicite, n) or n not in namespace])"
     )
-    result = _fresh_python(code, *sorted(probed | {"ProcessPoolExecutor"}))
+    result = _fresh_python(code, *sorted(probed | {"wikicite.cli:ProcessPoolExecutor"}))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[] []"
 

@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,15 +10,23 @@ from wikicite import extractor
 from wikicite.aggregate import tally_scans
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
+    TEMPLATE_NAME,
     _split_top_level,
+    clean_journal_value,
     find_template_spans,
+    normalize_template_name,
     read_jsonl,
     record_to_json,
     scan_page,
     write_jsonl,
 )
 
-from oracles import scan_page_by_tokens, split_by_tokens, template_spans_by_tokens
+from oracles import (
+    clean_journal_value_by_regex,
+    scan_page_by_tokens,
+    split_by_tokens,
+    template_spans_by_tokens,
+)
 
 
 def page(text: str, title: str = "Test") -> WikiPage:
@@ -250,6 +259,46 @@ def test_jsonl_roundtrip_and_field_order():
     assert list(read_jsonl(buffer)) == records
 
 
+_GOOD_LINE = record_to_json(
+    scan_page(page("{{cite journal|journal=Nature|title=T}}")).records[0]
+)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _GOOD_LINE + " x",
+        _GOOD_LINE + _GOOD_LINE,
+        _GOOD_LINE + ",",
+        "[]",
+        '"x"',
+        "1",
+        "\ufeff" + _GOOD_LINE,
+        _GOOD_LINE.replace('"span": [', '"span": [NaN, '),
+        _GOOD_LINE.replace('"title": "T"', '"title": 5'),
+        _GOOD_LINE.replace('"title": "T"', '"title": null'),
+        _GOOD_LINE.replace('"title": "T"', '"title": ["T"]'),
+        _GOOD_LINE.replace('"title": "T"', '"title": {"t": "T"}'),
+    ],
+    ids=[
+        "trailing-text", "two-objects", "trailing-comma", "array", "string", "number",
+        "bom", "span-nan", "param-number", "param-null", "param-list", "param-object",
+    ],
+)
+def test_read_jsonl_names_the_bad_line(bad):
+    assert bad != _GOOD_LINE
+    with pytest.raises(ValueError, match="bad citation record on line 2:"):
+        list(read_jsonl(io.StringIO(f"{_GOOD_LINE}\n{bad}\n{_GOOD_LINE}\n")))
+
+
+def test_records_and_scans_survive_pickle():
+    """The ``--jobs`` pool ships scans between processes."""
+    scan = scan_page(page("{{cite journal|journal=Nature|title=T}} {{cite journal|x}}"))
+    assert not hasattr(scan, "__dict__") and not hasattr(scan.records[0], "__dict__")
+    assert pickle.loads(pickle.dumps(scan)) == scan
+    assert pickle.loads(pickle.dumps(scan.records[0])) == scan.records[0]
+
+
 _soup_tokens = st.sampled_from(
     [
         "{{cite journal|journal=Nature}}",
@@ -406,3 +455,66 @@ def test_record_json_matches_json_dumps():
         ensure_ascii=False,
     )
     assert record_to_json(rec) == expected
+
+
+# Segments without "{{" or "[[" take the splitter's str.split path.
+_flat_fragments = st.sampled_from(
+    ["}}", "]]", "}", "]", "{", "[", "|", "=", "==", " ", "a", "key", "journal=", "x=y", "''"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_flat_fragments, max_size=30).map("".join).filter(
+    lambda s: "{{" not in s and "[[" not in s
+))
+@example("")
+@example("|")
+@example("a=b=c|")
+@example("=x||=|")
+@example("]]|a=b}}|c=d|e")
+@example("{x|[y=z|}")
+def test_flat_split_matches_token_oracle(segment):
+    assert _split_top_level(segment) == split_by_tokens(segment)
+
+
+_value_fragments = st.sampled_from(
+    ["<!--", "-->", "<", "[[", "]]", "[", "]", "|", "''", "'", "'''", " ", "\u00a0", "\n",
+     "Nature", "The Lancet", "(journal)", "=", "x"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_value_fragments, max_size=20).map("".join))
+@example(" Nature ")
+@example("[[Nature (journal)|Nature]]")
+@example("''[<!-- -->[Nature]]''")
+def test_clean_journal_value_matches_regex_oracle(value):
+    assert clean_journal_value(value) == clean_journal_value_by_regex(value)
+
+
+_name_fragments = st.sampled_from(
+    ["cite", "Cite", "journal", "Journal", "jour", "nal", "_", " ", "\u00a0", "\t", "c", "C",
+     "\u0130", "ite"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_name_fragments, max_size=8).map("".join))
+def test_name_prefilter_is_exact(name):
+    """Only a name holding "journal" can normalize to the template name."""
+    assert normalize_template_name(name) != TEMPLATE_NAME or "journal" in name
+
+
+def test_name_prefilter_skips_normalizing(monkeypatch):
+    names = ["Cite_journal", "cite  journal", "cite journal", "Cite Journal", "Journal"]
+    normalized = []
+
+    def counting_normalize(name):
+        normalized.append(name)
+        return normalize_template_name(name)
+
+    monkeypatch.setattr(extractor, "normalize_template_name", counting_normalize)
+    text = " ".join("{{%s|journal=%s}}" % (name, name) for name in names)
+    records = scan_page(page(text)).records
+    assert [r.journal_raw for r in records] == ["Cite_journal", "cite  journal", "cite journal"]
+    assert normalized == ["Cite_journal", "cite  journal", "cite journal"]

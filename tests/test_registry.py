@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wikicite import registry as registry_module
 from wikicite.extractor import normalize_template_name
 from wikicite.registry import (
     JournalRegistry,
@@ -220,3 +221,18 @@ def test_load_registry_file(tmp_path):
 
     registry = load_registry(path)
     assert registry.resolve("nat").name == "Nature"
+
+
+def test_parse_registry_normalizes_each_name_once(monkeypatch):
+    seen = []
+
+    def counting_key(raw):
+        seen.append(raw)
+        return normalize_key(raw)
+
+    lines = LINES + ["alias\tNat.\tNature", "alias\tLancet (London)\tThe Lancet"]
+    monkeypatch.setattr(registry_module, "normalize_key", counting_key)
+    parse_registry(lines)
+    assert sorted(seen) == sorted(
+        line.split("\t")[1] for line in lines if line and not line.startswith("#")
+    )
