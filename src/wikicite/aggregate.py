@@ -254,9 +254,33 @@ def from_json_dict(obj) -> CountTable:
     return table
 
 
+# The C escaper that json.dumps applies to every string when ensure_ascii=False.
+_encode = json.encoder.encode_basestring
+
+
+def _json_map(tallies: dict[str, int]) -> str:
+    """A str -> int map as ``json.dumps`` writes it with ``indent=2`` and
+    ``sort_keys=True`` one level down."""
+    if not tallies:
+        return "{}"
+    rows = ",\n    ".join([f"{_encode(name)}: {n}" for name, n in sorted(tallies.items())])
+    return "{\n    " + rows + "\n  }"
+
+
 def write_counts_json(table: CountTable, fp: IO[str]) -> None:
-    json.dump(to_json_dict(table), fp, indent=2, sort_keys=True, ensure_ascii=False)
-    fp.write("\n")
+    """``json.dump(to_json_dict(table), fp, indent=2, sort_keys=True,
+    ensure_ascii=False)`` and a newline, built here: with ``indent``, json
+    falls back from its C encoder to the pure-Python one."""
+    fields = []
+    for key, value in sorted(to_json_dict(table).items()):
+        if type(value) is dict:
+            text = _json_map(value)
+        elif type(value) is str:
+            text = _encode(value)
+        else:
+            text = str(value)
+        fields.append(f"  {_encode(key)}: {text}")
+    fp.write("{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def read_counts_json(fp: IO[str]) -> CountTable:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .dump_reader import WikiPage
 
@@ -30,14 +30,17 @@ _WIKILINK = re.compile(r"\[\[([^|\[\]]*)(?:\|([^\[\]]*))?\]\]")
 _QUOTE_MARKUP = re.compile(r"'{2,}")
 
 
-@dataclass(frozen=True, slots=True)
-class CitationRecord:
+class CitationRecord(NamedTuple):
     """One ``cite journal`` invocation, parsed into its parameters.
 
     ``params`` preserves appearance order; a duplicated parameter name keeps
     its first position but the last value, per MediaWiki semantics.
     ``span`` is a half-open (start, end) offset pair into the page text:
     the slice starts with ``{{`` and ends with ``}}``.
+
+    A named tuple, not a frozen dataclass: a dense page builds one per
+    citation, and a tuple is built in one C call where a frozen dataclass
+    sets each field through ``object.__setattr__``.
     """
 
     page_title: str
@@ -182,6 +185,7 @@ def scan_page(page: WikiPage) -> PageScan:
     A name is normalized only when it contains ``journal``. The test is
     exact: normalizing case-folds only the first letter, and ``_`` and
     whitespace never occur inside ``journal``."""
+    title = page.title
     text = page.text
     masked = mask_hidden_spans(text)
     spans, malformed = find_template_spans(masked)
@@ -206,17 +210,13 @@ def scan_page(page: WikiPage) -> PageScan:
         params: dict[str, str] = {}
         positional = 0
         for part_lo, part_hi, eq in parts[1:]:
-            if eq >= 0:
-                key = inner_masked[part_lo:eq].strip().lower()
-                value = inner[eq + 1 : part_hi]
-            else:
+            if eq < 0:
                 positional += 1
-                key = str(positional)
-                value = inner[part_lo:part_hi]
-            value = value.strip()
-            if key in params:
-                duplicates += 1
-            params[key] = value
+                params[str(positional)] = inner[part_lo:part_hi].strip()
+            else:
+                params[inner_masked[part_lo:eq].strip().lower()] = inner[eq + 1 : part_hi].strip()
+        # Each part stores one key, so every part past the distinct keys repeats one.
+        duplicates += len(parts) - 1 - len(params)
 
         journal_raw: str | None = None
         if "journal" in params:
@@ -224,45 +224,49 @@ def scan_page(page: WikiPage) -> PageScan:
             if cleaned:
                 journal_raw = cleaned
 
-        records.append(
-            CitationRecord(
-                page_title=page.title,
-                template_name_raw=name_raw.strip(),
-                params=params,
-                journal_raw=journal_raw,
-                span=(start, end),
-            )
-        )
+        records.append(CitationRecord(title, name_raw.strip(), params, journal_raw, (start, end)))
     return PageScan(records=records, malformed=malformed, duplicate_params=duplicates)
 
 
 _RECORD_KEYS = {"page_title", "template_name_raw", "params", "journal_raw", "span"}
 _STR_TYPE = frozenset({str})
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _DECODE = json.JSONDecoder().raw_decode
+# The C escaper that json.dumps applies to every string when ensure_ascii=False.
+_encode = json.encoder.encode_basestring
+
+
+def _json_lines(records: Iterable[CitationRecord]) -> list[str]:
+    """Each record as ``json.dumps`` of its fields in order, with
+    ``ensure_ascii=False``, plus a newline. Every string goes through json's
+    own escaper, and a run of records from one page encodes its title once."""
+    lines = []
+    title = head = None
+    for page_title, name, params, journal, (start, end) in records:
+        if page_title != title:
+            title = page_title
+            head = '{"page_title": ' + _encode(title) + ', "template_name_raw": '
+        fields = ", ".join([_encode(key) + ": " + _encode(value) for key, value in params.items()])
+        journal_json = "null" if journal is None else _encode(journal)
+        lines.append(
+            f'{head}{_encode(name)}, "params": {{{fields}}}, '
+            f'"journal_raw": {journal_json}, "span": [{start}, {end}]}}\n'
+        )
+    return lines
 
 
 def record_to_json(record: CitationRecord) -> str:
-    """Serialize one record as a JSON object with fixed field order."""
-    return _ENCODER.encode(
-        {
-            "page_title": record.page_title,
-            "template_name_raw": record.template_name_raw,
-            "params": record.params,
-            "journal_raw": record.journal_raw,
-            "span": list(record.span),
-        }
-    )
+    """Serialize one record as a JSON object with fixed field order: the
+    line :func:`write_jsonl` writes for it, without the newline."""
+    return _json_lines((record,))[0][:-1]
 
 
 def write_jsonl(records: Iterable[CitationRecord], fp: IO[str]) -> int:
-    """Write records as JSON lines; returns the number written."""
-    count = 0
-    for record in records:
-        fp.write(record_to_json(record))
-        fp.write("\n")
-        count += 1
-    return count
+    """Write records as JSON lines, all in one ``fp.write``; returns the
+    number written."""
+    lines = _json_lines(records)
+    if lines:
+        fp.write("".join(lines))
+    return len(lines)
 
 
 def _record_from_json(obj) -> CitationRecord:

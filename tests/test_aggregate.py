@@ -1,9 +1,10 @@
 import io
+import json
 import random
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wikicite import aggregate
@@ -240,6 +241,31 @@ def test_json_roundtrip(starter_registry):
     write_counts_json(table, buffer)
     buffer.seek(0)
     assert read_counts_json(buffer) == table
+
+
+_count_text = st.text(max_size=8) | st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\u00e9", "\u2028", "N", " "]),
+    max_size=8,
+)
+_count_map = st.dictionaries(_count_text, st.integers(min_value=0, max_value=10**12), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=_count_map,
+    unknown=_count_map,
+    fingerprint=_count_text,
+    small=st.tuples(*[st.integers(min_value=0, max_value=10**9)] * 4),
+)
+@example(counts={}, unknown={}, fingerprint="", small=(0, 0, 0, 0))
+def test_write_counts_json_matches_indented_json_dump(counts, unknown, fingerprint, small):
+    excluded, overflow, malformed, no_journal = small
+    total = sum(counts.values()) + sum(unknown.values()) + excluded + overflow + no_journal
+    table = CountTable(counts, excluded, unknown, overflow, total, malformed, fingerprint)
+    buffer = io.StringIO()
+    write_counts_json(table, buffer)
+    expected = json.dumps(to_json_dict(table), indent=2, sort_keys=True, ensure_ascii=False)
+    assert buffer.getvalue() == expected + "\n"
 
 
 def test_json_rejects_bad_format():

@@ -11,6 +11,7 @@ from wikicite.aggregate import tally_scans
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
     TEMPLATE_NAME,
+    CitationRecord,
     _split_top_level,
     clean_journal_value,
     find_template_spans,
@@ -415,6 +416,7 @@ def test_span_search_and_split_match_token_oracle(text):
 @example("{{cite journal|journal=N <!-- {{cite journal|journal=H}}")
 @example("{{cite journal|journal=N <nowiki>{{cite journal|journal=H}}")
 @example("{{cite journal {{x}}|journal=N}} {{cite journal [[l]]|journal=M}}")
+@example("{{cite journal|a|journal=N|b| Journal =M|1=c|journal=O}}")
 def test_scan_page_matches_split_every_template_oracle(text):
     source = page(text)
     assert scan_page(source) == scan_page_by_tokens(source)
@@ -455,6 +457,79 @@ def test_record_json_matches_json_dumps():
         ensure_ascii=False,
     )
     assert record_to_json(rec) == expected
+
+
+# Arbitrary text, and text built from what json must escape or, with
+# ensure_ascii=False, must leave alone: U+2028/2029 and lone surrogates too.
+_json_text = st.text(max_size=8) | st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\r", "\x1f", "\x7f", "\u00e9", "\u3000", "\u2028",
+                     "\u2029", "\ud800", "\udfff", "\U0001f600", "a", " "]),
+    max_size=8,
+)
+
+_records = st.builds(
+    CitationRecord,
+    # a small pool of titles gives runs of records from one page
+    page_title=st.sampled_from(["Page", "P\u00e4ge \"2\""]) | _json_text,
+    template_name_raw=_json_text,
+    params=st.dictionaries(_json_text, _json_text, max_size=4),
+    journal_raw=st.none() | _json_text,
+    span=st.tuples(st.integers(min_value=0), st.integers(min_value=1)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    ),
+)
+
+
+class _CountingBuffer(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_records, max_size=6))
+def test_write_jsonl_matches_json_dumps(records):
+    buffer = _CountingBuffer()
+    assert write_jsonl(records, buffer) == len(records)
+    expected = "".join(
+        json.dumps(
+            {
+                "page_title": r.page_title,
+                "template_name_raw": r.template_name_raw,
+                "params": r.params,
+                "journal_raw": r.journal_raw,
+                "span": list(r.span),
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for r in records
+    )
+    assert buffer.getvalue() == expected
+    assert buffer.writes == (1 if records else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_records, max_size=6))
+def test_jsonl_roundtrip_of_any_records(records):
+    buffer = io.StringIO()
+    write_jsonl(records, buffer)
+    buffer.seek(0)
+    assert list(read_jsonl(buffer)) == records
+
+
+def test_record_type_keeps_order_equality_and_immutability():
+    (rec,) = scan_page(page("{{cite journal|journal=Nature}}", "T")).records
+    assert repr(rec).startswith("CitationRecord(page_title='T', template_name_raw='cite journal', ")
+    assert repr(rec).endswith("params={'journal': 'Nature'}, journal_raw='Nature', span=(0, 31))")
+    assert rec == CitationRecord("T", "cite journal", {"journal": "Nature"}, "Nature", (0, 31))
+    assert rec != rec._replace(span=(0, 32))
+    with pytest.raises(AttributeError):
+        rec.journal_raw = "Science"
 
 
 # Segments without "{{" or "[[" take the splitter's str.split path.
