@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
 from .extractor import CitationRecord, PageScan
 from .registry import JournalRegistry, Resolution, ResolutionKind
@@ -28,8 +27,7 @@ class RegistryMismatchError(ValueError):
     """Tables built against different registries must not be merged."""
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Per-journal tallies for one corpus (or one shard of it).
 
     ``template_total`` counts every citation template, including those with
@@ -140,7 +138,7 @@ def tally_scans(
             yield from scan.records
 
     table = tally(records(), registry, unknown_cap=unknown_cap)
-    return replace(table, malformed_total=malformed_total)
+    return table._replace(malformed_total=malformed_total)
 
 
 def merge(a: CountTable, b: CountTable) -> CountTable:

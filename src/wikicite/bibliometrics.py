@@ -12,7 +12,6 @@ import csv
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .aggregate import CountTable, RegistryMismatchError
@@ -33,8 +32,7 @@ class JcrFormatError(ValueError):
     """Journal-statistics CSV cannot be parsed or is inconsistent."""
 
 
-@dataclass(frozen=True)
-class JcrRecord:
+class JcrRecord(NamedTuple):
     """One journal's external statistics: citations received across the
     literature, impact factor, and article count."""
 
@@ -44,8 +42,7 @@ class JcrRecord:
     articles: int
 
 
-@dataclass(frozen=True)
-class JournalMetrics:
+class JournalMetrics(NamedTuple):
     """Joined row: Wikipedia count next to the external statistics.
 
     ``combined`` is total_citations * impact_factor, computed once at join
@@ -58,8 +55,7 @@ class JournalMetrics:
     combined: float
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     series_name: str
     n: int
     tau: float
@@ -67,8 +63,7 @@ class CorrelationResult:
     p_value: float
 
 
-@dataclass(frozen=True)
-class JoinResult:
+class JoinResult(NamedTuple):
     """Joined metrics plus audit lists of everything that did not join."""
 
     metrics: list[JournalMetrics]
@@ -96,8 +91,7 @@ class _TieSums(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class _TauStats:
+class _TauStats(NamedTuple):
     n: int
     s: int  # concordant minus discordant pairs
     x_ties: _TieSums

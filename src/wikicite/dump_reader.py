@@ -9,9 +9,8 @@ names, so the schema namespace URI does not matter).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 from xml.parsers import expat
 
 _CHUNK_SIZE = 1 << 16
@@ -53,8 +52,7 @@ class DumpParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class WikiPage:
+class WikiPage(NamedTuple):
     """One page from a dump: the latest revision's text plus identity.
 
     Immutable, so instances are safe to hand to worker processes.

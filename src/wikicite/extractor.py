@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .dump_reader import WikiPage
@@ -50,8 +49,7 @@ class CitationRecord(NamedTuple):
     span: tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class PageScan:
+class PageScan(NamedTuple):
     """All citations found on one page plus the per-page tallies."""
 
     records: list[CitationRecord]

@@ -8,8 +8,7 @@ the code under test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .dump_reader import WikiPage
 
@@ -94,8 +93,7 @@ _NOISE_TEMPLATES = (
 _AUTHOR_NAMES = ("Brown, R.", "Meisner, C.", "George, A.", "Thiele, K.", "Mast, A.")
 
 
-@dataclass(frozen=True)
-class CorpusTruth:
+class CorpusTruth(NamedTuple):
     """Planned outcome of scanning a generated corpus with the starter
     registry."""
 
@@ -123,8 +121,7 @@ class CorpusTruth:
         }
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     pages: list[WikiPage]
     truth: CorpusTruth
 

@@ -13,9 +13,8 @@ implies canonical membership.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 DEFAULT_REGISTRY_RESOURCE = "data/starter_registry.tsv"
 
@@ -48,8 +47,7 @@ class ResolutionKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Outcome of a lookup: the canonical name for hits, or the raw string
     preserved verbatim for misses."""
 
@@ -57,14 +55,20 @@ class Resolution:
     name: str
 
 
-@dataclass(frozen=True)
-class JournalRegistry:
+class JournalRegistry(NamedTuple):
     canonical: frozenset[str]
     aliases: dict[str, str]
     exclusions: frozenset[str]
     # Full lookup: alias keys plus every canonical name's own key.
-    key_to_name: dict[str, str] = field(repr=False)
-    fingerprint: str = field(repr=False)
+    key_to_name: dict[str, str]
+    fingerprint: str
+
+    def __repr__(self) -> str:
+        # Leaves out the two fields derived from the other three.
+        return (
+            f"{type(self).__name__}(canonical={self.canonical!r}, "
+            f"aliases={self.aliases!r}, exclusions={self.exclusions!r})"
+        )
 
     @classmethod
     def build(
@@ -143,14 +147,14 @@ class JournalRegistry:
 def _fingerprint(
     canonical: frozenset[str], aliases: dict[str, str], exclusions: frozenset[str]
 ) -> str:
-    digest = hashlib.sha256()
-    for line in sorted(f"C\t{name}" for name in canonical):
-        digest.update(line.encode("utf-8") + b"\n")
-    for key in sorted(aliases):
-        digest.update(f"A\t{key}\t{aliases[key]}".encode("utf-8") + b"\n")
-    for line in sorted(f"X\t{name}" for name in exclusions):
-        digest.update(line.encode("utf-8") + b"\n")
-    return digest.hexdigest()
+    """SHA-256 of the registry's lines, each ending in a newline: the
+    sorted canonical names, the aliases sorted by key, then the sorted
+    exclusions."""
+    lines = sorted(f"C\t{name}" for name in canonical)
+    lines += [f"A\t{key}\t{aliases[key]}" for key in sorted(aliases)]
+    lines += sorted(f"X\t{name}" for name in exclusions)
+    lines.append("")  # so that the join ends the last line too
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def parse_registry(lines: Iterable[str]) -> JournalRegistry:

@@ -191,10 +191,18 @@ def test_tally_monotone_under_additional_records(starter_registry):
 
 
 def test_tally_scans_collects_malformed(starter_registry):
-    pages = [WikiPage("A", 0, "{{cite journal|journal=Nature}} {{cite journal|lost")]
-    table = tally_scans(map(scan_page, pages), starter_registry)
-    assert table.malformed_total == 1
-    assert table.counts == {"Nature": 1}
+    pages = [
+        WikiPage("A", 0, "{{cite journal|journal=Nature}} {{cite journal|lost"),
+        WikiPage("B", 0, "{{cite journal|journal=NEJM}}"),
+        WikiPage("C", 0, "{{cite journal|lost {{cite journal|journal=Nature|also lost"),
+    ]
+    scans = [scan_page(p) for p in pages]
+    table = tally_scans(iter(scans), starter_registry)
+    assert type(table) is CountTable
+    assert table.malformed_total == sum(scan.malformed for scan in scans) == 3
+    records = [record for scan in scans for record in scan.records]
+    assert table == tally(records, starter_registry, malformed_total=3)
+    assert table.counts == {"Nature": 1, "New England Journal of Medicine": 1}
 
 
 def test_growth_report_series():

@@ -830,10 +830,13 @@ def test_cli_import_skips_network_modules():
 _ROOT = Path(__file__).resolve().parents[1]
 
 # What only some commands need: the pool (--jobs > 1), the statistics
-# (correlate), the generator (gen-fixture) and the builtin registry's loader.
+# (correlate), the generator (gen-fixture) and the builtin registry's loader;
+# and what no command needs: dataclasses and the inspect module it imports.
 _DEFERRED_MODULES = (
     "concurrent.futures.process",
+    "dataclasses",
     "importlib.resources",
+    "inspect",
     "multiprocessing",
     "random",
     "wikicite.bibliometrics",
@@ -876,6 +879,9 @@ def test_commands_import_only_what_they_use(tmp_path):
     assert _bare_cli(
         "count", "--citations", str(empty), "--registry", registry, "--out", str(out / "setup")
     ) == (0, [])
+    assert _bare_cli("extract", "--dump", str(fx / "dump.xml"), "--out", str(out / "extract")) == (
+        0, [],
+    )
     assert _bare_cli(
         "count", "--dump", str(fx / "dump.xml"), "--registry", registry, "--out", str(out / "count")
     ) == (0, [])
@@ -883,6 +889,11 @@ def test_commands_import_only_what_they_use(tmp_path):
         "correlate", "--counts", str(out / "count" / "counts.json"), "--registry", registry,
         "--jcr", str(fx / "jcr.csv"), "--out", str(out / "correlate"),
     ) == (0, ["wikicite.bibliometrics"])
+    counts = str(out / "count" / "counts.json")
+    assert _bare_cli(
+        "growth", "--table", f"2006-01-01={counts}", "--table", f"2007-01-01={counts}",
+        "--out", str(out / "growth"),
+    ) == (0, [])
 
 
 def test_lazy_names_resolve_in_a_fresh_interpreter():

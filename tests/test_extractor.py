@@ -292,6 +292,13 @@ def test_read_jsonl_names_the_bad_line(bad):
         list(read_jsonl(io.StringIO(f"{_GOOD_LINE}\n{bad}\n{_GOOD_LINE}\n")))
 
 
+def test_pages_survive_pickle():
+    """The ``--jobs`` pool ships pages to its workers."""
+    dated = WikiPage("Dated", 0, "{{cite journal|journal=Nature}}", "2007-04-02T00:00:00Z")
+    for wiki_page in (page("text"), dated):
+        assert pickle.loads(pickle.dumps(wiki_page)) == wiki_page
+
+
 def test_records_and_scans_survive_pickle():
     """The ``--jobs`` pool ships scans between processes."""
     scan = scan_page(page("{{cite journal|journal=Nature|title=T}} {{cite journal|x}}"))

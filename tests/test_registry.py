@@ -163,6 +163,30 @@ def test_alias_conflicting_with_canonical_key_fails():
         parse_registry(lines)
 
 
+def test_starter_registry_fingerprint_is_pinned(starter_registry):
+    """``counts.json`` carries the fingerprint, and ``join`` refuses a table
+    whose fingerprint differs: the digest's bytes must not drift."""
+    assert starter_registry.fingerprint == (
+        "4f01a1c14f44d18fb429fe876e2bd8c2237447c21bb0dfda79ec34daad775513"
+    )
+
+
+def test_empty_registry_fingerprint_is_the_empty_digest():
+    assert JournalRegistry.build([]).fingerprint == (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    )
+
+
+def test_repr_leaves_out_key_map_and_fingerprint():
+    registry = parse_registry(["canonical\tNature", "alias\tNat.\tNature"])
+    text = repr(registry)
+    assert text == (
+        "JournalRegistry(canonical=frozenset({'Nature'}), aliases={'nat': 'Nature'}, "
+        "exclusions=frozenset())"
+    )
+    assert "'nature'" not in text and registry.fingerprint not in text
+
+
 def test_fingerprint_tracks_content():
     a = parse_registry(["canonical\tNature"])
     b = parse_registry(["canonical\tNature", "exclude\tScientific American"])
