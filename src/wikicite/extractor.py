@@ -4,8 +4,8 @@ The scanner is nesting-aware: ``{{...}}`` inside a parameter value belongs to
 the inner template, never to the boundary of the outer one. Text hidden in
 HTML comments and ``<nowiki>`` spans is masked (replaced by spaces of the same
 length) before scanning, so record spans always index into the original page
-text. Spans are found by jumping between ``{{`` and ``}}`` with ``str.find``,
-and only spans named ``cite journal`` are split into parameters.
+text. Spans are found by jumping between ``{{`` and ``}}`` with one-character
+``str.find``, and only spans named ``cite journal`` are split into parameters.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ TEMPLATE_NAME = "cite journal"
 # Pipes and equals signs separate parts only outside nested templates and links.
 _NEST_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]")
 _COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
+# Where a comment or a nowiki tag may start, under _NOWIKI's case folding.
+_HIDDEN_OPENER = re.compile(r"<(?:!--|nowiki)", re.IGNORECASE)
 _NOWIKI = re.compile(
     r"<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
     re.IGNORECASE | re.DOTALL,
@@ -57,16 +59,51 @@ class PageScan(NamedTuple):
     duplicate_params: int
 
 
+def _blank(text: str, spans: list[tuple[int, int]]) -> str:
+    """``text`` with each of the sorted, disjoint ``spans`` turned to spaces."""
+    pieces = []
+    pos = 0
+    for start, end in spans:
+        pieces.append(text[pos:start])
+        pieces.append(" " * (end - start))
+        pos = end
+    pieces.append(text[pos:])
+    return "".join(pieces)
+
+
 def mask_hidden_spans(text: str) -> str:
-    """Blank out comments and nowiki spans, preserving every offset."""
+    """Blank out comments and nowiki spans, preserving every offset.
+
+    One regex pass finds every comment and nowiki opener. A comment runs to
+    the first ``-->`` after its ``<!--``, or to the end of the text, and hides
+    the openers inside it. ``_NOWIKI`` is then tried only at the openers
+    left, on the comment-blanked text, so a comment inside a nowiki span
+    cannot end it early."""
     if "<" not in text:
         return text
-
-    def blank(match: re.Match) -> str:
-        return " " * (match.end() - match.start())
-
-    text = _COMMENT.sub(blank, text)
-    return _NOWIKI.sub(blank, text)
+    comments: list[tuple[int, int]] = []
+    openers: list[int] = []
+    hidden_to = 0
+    for match in _HIDDEN_OPENER.finditer(text):
+        start = match.start()
+        if start < hidden_to:
+            continue
+        if text.startswith("<!--", start):
+            end = text.find("-->", start + 4)
+            hidden_to = len(text) if end < 0 else end + 3
+            comments.append((start, hidden_to))
+        else:
+            openers.append(start)
+    masked = _blank(text, comments) if comments else text
+    nowikis: list[tuple[int, int]] = []
+    hidden_to = 0
+    for start in openers:
+        if start >= hidden_to:
+            match = _NOWIKI.match(masked, start)
+            if match:
+                hidden_to = match.end()
+                nowikis.append((start, hidden_to))
+    return _blank(masked, nowikis) if nowikis else masked
 
 
 def normalize_template_name(name: str) -> str:
@@ -80,26 +117,40 @@ def normalize_template_name(name: str) -> str:
 
 def find_template_spans(text: str) -> tuple[list[tuple[int, int]], int]:
     """All balanced ``{{...}}`` spans (nested ones included) plus the count
-    of dangling opens left unclosed at the end of the text."""
+    of dangling opens left unclosed at the end of the text.
+
+    Each ``{{`` and ``}}`` is found with a one-character ``str.find``. A
+    brace with no second one after it hands over to the two-character
+    search, so a lone brace never costs a loop iteration."""
+    find = text.find
+    startswith = text.startswith
     spans: list[tuple[int, int]] = []
     stack: list[int] = []
     pos = 0  # just past the last brace token taken
-    opening = text.find("{{")
+    opening = find("{")
+    if opening >= 0 and not startswith("{{", opening):
+        opening = find("{{", opening + 1)
     closing = -1  # a "}}" with nothing open is text, so search only when needed
     while stack or opening >= 0:
         if stack and closing < pos:
-            closing = text.find("}}", pos)
+            closing = find("}", pos)
+            if closing >= 0 and not startswith("}}", closing):
+                closing = find("}}", closing + 1)
             if closing < 0:
                 break
         if opening >= 0 and (not stack or opening < closing):
             stack.append(opening)
             pos = opening + 2
-            opening = text.find("{{", pos)
+            opening = find("{", pos)
+            if opening >= 0 and not startswith("{{", opening):
+                opening = find("{{", opening + 1)
         else:
             pos = closing + 2
             spans.append((stack.pop(), pos))
     spans.sort()
-    return spans, len(stack) + text.count("{{", pos)
+    # The loop ends with the opening search run off the end, or with no "}}"
+    # left, and then every "{{" from ``opening`` on is unclosed too.
+    return spans, len(stack) + (text.count("{{", opening) if opening >= 0 else 0)
 
 
 def _split_top_level(segment: str) -> list[tuple[int, int, int]]:

@@ -9,7 +9,10 @@ The normalizer oracles collapse whitespace runs with a regex, as the
 key and template-name normalizers did before they used ``str.split``.
 The journal cleaner oracle always runs its three regexes, and the tally
 oracle resolves every record's journal, as both did before they took
-shortcuts for plain values and repeated strings.
+shortcuts for plain values and repeated strings. The masking oracle blanks
+comments and then nowiki spans with two ``re.sub`` passes over the whole
+text, with its own copies of the patterns, as the masker did before it
+found both kinds of opener in one pass.
 """
 
 from __future__ import annotations
@@ -22,19 +25,32 @@ from collections import Counter
 from wikicite.aggregate import CountTable
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
-    _COMMENT,
     _QUOTE_MARKUP,
     _WIKILINK,
     TEMPLATE_NAME,
     CitationRecord,
     PageScan,
-    mask_hidden_spans,
     normalize_template_name,
 )
 from wikicite.registry import ResolutionKind, normalize_key
 
 
 _WS_RUN = re.compile(r"\s+")
+_COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
+_NOWIKI = re.compile(
+    r"<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
+    re.IGNORECASE | re.DOTALL,
+)
+
+
+def mask_hidden_spans_by_regex(text: str) -> str:
+    """Blank out comments, then nowiki spans in what is left, preserving
+    every offset."""
+
+    def blank(match: re.Match) -> str:
+        return " " * (match.end() - match.start())
+
+    return _NOWIKI.sub(blank, _COMMENT.sub(blank, text))
 
 
 def normalize_key_by_regex(raw: str) -> str:
@@ -235,7 +251,7 @@ def split_by_tokens(segment: str) -> list[tuple[int, int, int]]:
 def scan_page_by_tokens(page: WikiPage) -> PageScan:
     """The page scan that splits every template before checking its name."""
     text = page.text
-    masked = mask_hidden_spans(text)
+    masked = mask_hidden_spans_by_regex(text)
     spans, malformed = template_spans_by_tokens(masked)
     records: list[CitationRecord] = []
     duplicates = 0

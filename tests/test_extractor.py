@@ -15,6 +15,7 @@ from wikicite.extractor import (
     _split_top_level,
     clean_journal_value,
     find_template_spans,
+    mask_hidden_spans,
     normalize_template_name,
     read_jsonl,
     record_to_json,
@@ -24,6 +25,7 @@ from wikicite.extractor import (
 
 from oracles import (
     clean_journal_value_by_regex,
+    mask_hidden_spans_by_regex,
     scan_page_by_tokens,
     split_by_tokens,
     template_spans_by_tokens,
@@ -355,7 +357,8 @@ def test_scanner_robust_on_wikitext_soup(tokens):
 # Differential checks against the split-every-template oracle. The fragments
 # cover nesting, pipes and equals signs inside links and nested templates, an
 # unclosed link inside a nested template, brace and bracket runs of three and
-# four, stray closes, dangling opens, unclosed comments and nowiki, and name
+# four, lone braces (which hand the brace search over to a pair search),
+# stray closes, dangling opens, unclosed comments and nowiki, and name
 # variants that must and must not match.
 _scan_fragments = st.sampled_from(
     [
@@ -364,6 +367,12 @@ _scan_fragments = st.sampled_from(
         "{{{",
         "}}}",
         "{{{{",
+        "{",
+        "}",
+        "{x}",
+        "a}b",
+        "{ {",
+        "} }",
         "[[",
         "]]",
         "[[[",
@@ -409,9 +418,74 @@ _scan_text = st.lists(_scan_fragments, max_size=30).map("".join)
 @given(_scan_text)
 @example("]]|a=b}}|c=d|e")
 @example("x={{a|[[b}}|c=d]]|e")
+@example("a{b {{c")
+@example("{{x} {{y")
+@example("{ {{{p}}} }")
+@example("{{a} }}} {x{{{b}}}")
 def test_span_search_and_split_match_token_oracle(text):
     assert find_template_spans(text) == template_spans_by_tokens(text)
     assert _split_top_level(text) == split_by_tokens(text)
+
+
+def test_math_prose_with_lone_braces_scans_like_oracle():
+    """About 125 KB of TeX with 10,200 lone braces and one citation: the
+    brace search hands each lone brace over to a pair search."""
+    prose = "Let <math>\\frac{a_{i}}{b^{2}}</math> be bounded. " * 1275
+    text = prose + "{{cite journal|journal=Nature|title=T}} " + prose
+    lone = sum(
+        1 for i, c in enumerate(text) if c in "{}" and c not in (text[i - 1], text[i + 1 : i + 2])
+    )
+    assert len(text) == 124_990 and lone == 10_200
+    source = page(text)
+    scan = scan_page(source)
+    assert [r.journal_raw for r in scan.records] == ["Nature"]
+    assert scan == scan_page_by_tokens(source)
+    assert find_template_spans(text) == template_spans_by_tokens(text)
+
+
+# Comments, nowiki tags in every form the masker accepts, near misses (a
+# longer tag name, an unterminated close, a split tag), a KELVIN SIGN that
+# case-insensitive matching takes for "k", nesting each way, and filler.
+_mask_fragments = st.sampled_from(
+    [
+        "<!--",
+        "-->",
+        "<!-->",
+        "<!---->",
+        "<nowiki>",
+        "</nowiki>",
+        "</NOWIKI >",
+        '<NoWiki a="1">',
+        "<nowiki/>",
+        "<nowiki />",
+        "<nowikix>",
+        "</nowiki",
+        "<now",
+        "iki>",
+        "<nowi\u212ai>",
+        "<nowiki>a<!-- b -->c</nowiki>",
+        "<!-- a<nowiki>b -->",
+        "<",
+        ">",
+        "-",
+        "{{",
+        "}}",
+        "{",
+        "}",
+        "\n",
+        "x",
+    ]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_mask_fragments, max_size=30).map("".join))
+@example("<nowiki><!--</nowiki> {{x}} -->")
+@example("<!-- <nowiki> --> {{x}} </nowiki>")
+@example("</nowiki<!-- -->> <nowiki/<!-- -->>")
+@example("<nowi\u212ai>{{x}}")
+def test_mask_matches_two_pass_regex_oracle(text):
+    assert mask_hidden_spans(text) == mask_hidden_spans_by_regex(text)
 
 
 @settings(max_examples=300, deadline=None)
