@@ -19,6 +19,7 @@ from .dump_reader import (
 )
 from .extractor import (
     CitationRecord,
+    JournalRecord,
     PageScan,
     scan_page,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "JcrRecord",
     "JoinResult",
     "JournalMetrics",
+    "JournalRecord",
     "JournalRegistry",
     "PageScan",
     "RegistryLoadError",

@@ -1,8 +1,9 @@
 """Throughput and memory probe for the streaming pipeline.
 
-Runs the reader, extractor, and tally over a synthesized dump of the
-requested size and reports a JSON line with wall time and peak RSS. Run it
-in a fresh process so the measurement belongs to this pipeline:
+Runs the reader, the journal-only scan that ``count --dump`` uses, and the
+tally over a synthesized dump of the requested size, and reports a JSON
+line with wall time and peak RSS. Run it in a fresh process so the
+measurement belongs to this pipeline:
 
     python -m wikicite.bench --megabytes 100
 
@@ -48,7 +49,8 @@ def main(argv=None) -> int:
     reader = open_dump(source)
 
     started = time.perf_counter()
-    table = tally_scans(map(scan_page, filter_namespaces(reader, {0})), registry)
+    pages = filter_namespaces(reader, {0})
+    table = tally_scans((scan_page(page, journal_only=True) for page in pages), registry)
     elapsed = time.perf_counter() - started
     print(
         json.dumps(

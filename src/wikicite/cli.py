@@ -149,22 +149,30 @@ def _file_manifest_entry(path_arg: str) -> dict:
 
 
 def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]:
+    """The registry and its manifest entry. A registry file is read once, so
+    the digest describes exactly the bytes that were parsed."""
     if registry_arg is None:
         text = default_registry_text()
         entry = _stream_manifest_entry(
             io.BytesIO(text.encode("utf-8")), "<builtin starter registry>"
         )
         return parse_registry(text.splitlines()), entry
-    return load_registry(registry_arg), _file_manifest_entry(registry_arg)
+    with open(registry_arg, "rb") as fp:
+        data = fp.read()
+    entry = _stream_manifest_entry(io.BytesIO(data), registry_arg)
+    return load_registry(io.BytesIO(data)), entry
 
 
 def _parse_namespaces(spec: str) -> set[int] | None:
     if spec.strip().lower() == "all":
         return None
     try:
-        return {int(part) for part in spec.split(",") if part.strip()}
+        namespaces = {int(part) for part in spec.split(",") if part.strip()}
     except ValueError:
-        raise UsageError(f"bad --namespaces value {spec!r}") from None
+        namespaces = set()
+    if not namespaces:
+        raise UsageError(f"bad --namespaces value {spec!r}")
+    return namespaces
 
 
 def _dump_pages(args) -> tuple[DumpReader, Iterable[WikiPage], _HashingReader]:
@@ -210,13 +218,16 @@ def parse_sweep(spec: str) -> list[int]:
     return values
 
 
-def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
+def _scan_stream(
+    pages: Iterable[WikiPage], jobs: int, journal_only: bool = False
+) -> Iterator[PageScan]:
     """Per-page scans, optionally fanned out to worker processes. The
     submission window is bounded so memory stays streaming-sized, and
-    results come back in page order."""
+    results come back in page order. ``journal_only`` asks for the scan
+    that counting needs (see :func:`scan_page`)."""
     if jobs <= 1:
         for page in pages:
-            yield scan_page(page)
+            yield scan_page(page, journal_only=journal_only)
         return
     _load("concurrent.futures.process")
     window: deque = deque()
@@ -224,7 +235,7 @@ def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
         for page in pages:
             if len(window) >= jobs * 4:
                 yield window.popleft().result()
-            window.append(executor.submit(scan_page, page))
+            window.append(executor.submit(scan_page, page, journal_only=journal_only))
         while window:
             yield window.popleft().result()
 
@@ -353,7 +364,7 @@ def _table_from_citations(path: str, registry: JournalRegistry) -> tuple[CountTa
 
 def _table_from_dump(args, registry: JournalRegistry) -> tuple[CountTable, dict]:
     _, pages, dump_stream = _dump_pages(args)
-    table = tally_scans(_scan_stream(pages, args.jobs), registry)
+    table = tally_scans(_scan_stream(pages, args.jobs, journal_only=True), registry)
     return table, {"dump": dump_stream.manifest_entry()}
 
 

@@ -6,6 +6,9 @@ HTML comments and ``<nowiki>`` spans is masked (replaced by spaces of the same
 length) before scanning, so record spans always index into the original page
 text. Spans are found by jumping between ``{{`` and ``}}`` with one-character
 ``str.find``, and only spans named ``cite journal`` are split into parameters.
+Counting needs only each citation's journal, so a journal-only scan finds the
+``journal`` parameter directly and splits a span only when nesting or
+non-ASCII text leaves that search unsure.
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ _NOWIKI = re.compile(
     r"<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
     re.IGNORECASE | re.DOTALL,
 )
+# Up to the end of the last parameter key that, stripped and lowercased, is
+# ``journal``: the pipe before it, the key and the ``=`` after it. On ASCII
+# text ``\s`` and IGNORECASE agree with ``str.strip`` and ``str.lower``.
+_LAST_JOURNAL_KEY = re.compile(r".*\|\s*journal\s*=", re.IGNORECASE | re.DOTALL)
+# Nesting tokens that pair up in order: each opener is closed by the next token.
+_PAIRED_TOKENS = re.compile(r"(?:\{\{\}\}|\[\[\]\])*")
 _WIKILINK = re.compile(r"\[\[([^|\[\]]*)(?:\|([^\[\]]*))?\]\]")
 _QUOTE_MARKUP = re.compile(r"'{2,}")
 
@@ -51,10 +60,23 @@ class CitationRecord(NamedTuple):
     span: tuple[int, int]
 
 
-class PageScan(NamedTuple):
-    """All citations found on one page plus the per-page tallies."""
+class JournalRecord(NamedTuple):
+    """One ``cite journal`` invocation as counting sees it: the cleaned
+    journal (None when absent or empty) and the span, with no parameter map.
+    """
 
-    records: list[CitationRecord]
+    journal_raw: str | None
+    span: tuple[int, int]
+
+
+class PageScan(NamedTuple):
+    """All citations found on one page plus the per-page tallies.
+
+    A journal-only scan holds :class:`JournalRecord` records and does not
+    count duplicated parameters, so its ``duplicate_params`` is 0.
+    """
+
+    records: list[CitationRecord] | list[JournalRecord]
     malformed: int
     duplicate_params: int
 
@@ -225,7 +247,48 @@ def clean_journal_value(value: str) -> str:
     return value.strip()
 
 
-def scan_page(page: WikiPage) -> PageScan:
+def _journal_value_by_split(inner: str, inner_masked: str) -> str | None:
+    """The stripped value of the last top-level ``journal`` parameter, found
+    by splitting the template innards into every part."""
+    value = None
+    for part_lo, part_hi, eq in _split_top_level(inner_masked)[1:]:
+        if eq >= 0 and inner_masked[part_lo:eq].strip().lower() == "journal":
+            value = inner[eq + 1 : part_hi]
+    return None if value is None else value.strip()
+
+
+def _journal_value(inner: str, inner_masked: str) -> str | None:
+    """What :func:`_journal_value_by_split` returns, mostly without a split.
+
+    On ASCII innards one regex pass finds the last ``|journal=`` key. Its
+    pipe is top level when the innards hold no ``{{`` or ``[[``, or, when
+    their nesting tokens pair up in order, when an even number of tokens
+    come before it. Its value runs to the next pipe, unless a token starts
+    before that pipe: then it runs to the end of the first part that
+    :func:`_split_top_level` finds in the text after the key. Non-ASCII
+    innards, tokens that do not pair up and a nested last key take the
+    full split."""
+    if not inner_masked.isascii():
+        return _journal_value_by_split(inner, inner_masked)
+    key = _LAST_JOURNAL_KEY.match(inner_masked)
+    if key is None:
+        return None
+    value_start = key.end()
+    value_end = inner_masked.find("|", value_start)
+    if value_end < 0:
+        value_end = len(inner_masked)
+    if "{{" in inner_masked or "[[" in inner_masked:
+        if (
+            not _PAIRED_TOKENS.fullmatch("".join(_NEST_TOKENS.findall(inner_masked)))
+            or len(_NEST_TOKENS.findall(inner_masked, 0, value_start)) % 2
+        ):
+            return _journal_value_by_split(inner, inner_masked)
+        if _NEST_TOKENS.search(inner_masked, value_start, value_end):
+            value_end = value_start + _split_top_level(inner_masked[value_start:])[0][1]
+    return inner[value_start:value_end].strip()
+
+
+def scan_page(page: WikiPage, *, journal_only: bool = False) -> PageScan:
     """Scan one page for ``cite journal`` templates, splitting only spans
     whose name (the text up to the first ``|``) matches. A ``{{`` or ``[[``
     in the name keeps it from matching; without one, the name is the first
@@ -233,7 +296,13 @@ def scan_page(page: WikiPage) -> PageScan:
 
     A name is normalized only when it contains ``journal``. The test is
     exact: normalizing case-folds only the first letter, and ``_`` and
-    whitespace never occur inside ``journal``."""
+    whitespace never occur inside ``journal``.
+
+    With ``journal_only``, the scan that counting needs, each citation
+    becomes a :class:`JournalRecord`: its journal is found by
+    :func:`_journal_value`, and the parameter map, the raw name and the
+    duplicate tally are skipped. Spans, journals and the malformed count
+    are those of the full scan."""
     title = page.title
     text = page.text
     masked = mask_hidden_spans(text)
@@ -250,6 +319,11 @@ def scan_page(page: WikiPage) -> PageScan:
         # behaves as if removed; the stored raw name is as written.
         name = masked[inner_start:name_end]
         if "journal" not in name or normalize_template_name(name) != TEMPLATE_NAME:
+            continue
+        if journal_only:
+            value = _journal_value(text[inner_start:inner_end], masked[inner_start:inner_end])
+            journal = None if value is None else clean_journal_value(value) or None
+            records.append(JournalRecord(journal, (start, end)))
             continue
         name_raw = text[inner_start:name_end]
         inner = text[inner_start:inner_end]

@@ -13,6 +13,7 @@ implies canonical membership.
 from __future__ import annotations
 
 import hashlib
+import io
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -207,8 +208,13 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
     return JournalRegistry._build(canonical, aliases, exclusions)
 
 
-def load_registry(path) -> JournalRegistry:
-    with open(path, "r", encoding="utf-8") as fp:
+def load_registry(source) -> JournalRegistry:
+    """Parse a registry file, given its path or a binary stream of its
+    bytes. A stream is decoded as ``open(path, encoding="utf-8")`` decodes
+    the file: UTF-8, with universal newlines."""
+    if hasattr(source, "read"):
+        return parse_registry(io.TextIOWrapper(source, encoding="utf-8"))
+    with open(source, "r", encoding="utf-8") as fp:
         return parse_registry(fp)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -10,11 +11,11 @@ import pytest
 
 from wikicite.aggregate import read_counts_json, write_counts_json, CountTable
 from wikicite.bibliometrics import combined_top_overlap, join, topn_sweep
-from wikicite.cli import UsageError, main, parse_sweep
+from wikicite.cli import UsageError, _load_registry_arg, main, parse_sweep
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import read_jsonl, scan_page
 from wikicite.fixtures import build_corpus, dump_xml, write_dump
-from wikicite.registry import load_default_registry
+from wikicite.registry import load_default_registry, load_registry
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +113,14 @@ class TestExtract:
         assert main(["extract", "--dump", str(missing), "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_namespaces_value_is_usage_error(self, small_dump, tmp_path):
-        code = main(
-            ["extract", "--dump", str(small_dump), "--namespaces", "articles",
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 1
+        """Values that name no namespace, which would scan nothing, included."""
+        for command in ("extract", "count"):
+            for value in ("articles", "", ",", " , "):
+                code = main(
+                    [command, "--dump", str(small_dump), "--namespaces", value,
+                     "--out", str(tmp_path / "o")]
+                )
+                assert code == 1, (command, value)
 
     def test_stdin_dump(self, tmp_path):
         pages = [WikiPage("A", 0, "{{cite journal|journal=Nature}}")]
@@ -163,6 +167,37 @@ class TestCount:
              str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_manifest_digests_the_registry_that_was_parsed(self, small_dump, tmp_path):
+        registry_path = tmp_path / "registry.tsv"
+        data = "canonical\tNature\r\nalias\tNat.\tNature\n".encode("utf-8")
+        registry_path.write_bytes(data)
+        out = tmp_path / "o"
+        assert main(
+            ["count", "--dump", str(small_dump), "--registry", str(registry_path),
+             "--out", str(out)]
+        ) == 0
+        entry = json.loads(read(out / "manifest.json"))["inputs"]["registry"]
+        assert entry == {
+            "path": str(registry_path),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+        }
+
+    def test_registry_bytes_decode_as_an_opened_file(self, tmp_path):
+        """CRLF and a bare CR end lines, as universal newlines read them; a
+        NEL (U+0085) inside a name does not, though ``str.splitlines`` would
+        split there."""
+        registry_path = tmp_path / "registry.tsv"
+        registry_path.write_bytes(
+            "canonical\tNa\x85ture\r\nalias\tNat\tNa\x85ture\rcanonical\tScience\n"
+            "exclude\tTime\r".encode("utf-8")
+        )
+        registry, _ = _load_registry_arg(str(registry_path))
+        assert registry == load_registry(registry_path)
+        assert registry.fingerprint == load_registry(registry_path).fingerprint
+        assert registry.canonical == {"Na\x85ture", "Science", "Time"}
+        assert registry.resolve("nat").name == "Na\x85ture"
 
     def test_requires_an_input(self, tmp_path):
         assert main(["count", "--out", str(tmp_path / "o")]) == 1

@@ -12,6 +12,7 @@ from wikicite.dump_reader import WikiPage
 from wikicite.extractor import (
     TEMPLATE_NAME,
     CitationRecord,
+    JournalRecord,
     _split_top_level,
     clean_journal_value,
     find_template_spans,
@@ -501,6 +502,98 @@ def test_mask_matches_two_pass_regex_oracle(text):
 def test_scan_page_matches_split_every_template_oracle(text):
     source = page(text)
     assert scan_page(source) == scan_page_by_tokens(source)
+
+
+def _journal_only_matches_oracle(text: str) -> None:
+    """A journal-only scan finds the spans, journals and malformed count
+    of the oracle's full scan, one record per citation."""
+    source = page(text)
+    expected = scan_page_by_tokens(source)
+    scan = scan_page(source, journal_only=True)
+    assert all(type(r) is JournalRecord for r in scan.records)
+    assert [(r.span, r.journal_raw) for r in scan.records] == [
+        (r.span, r.journal_raw) for r in expected.records
+    ]
+    assert scan.malformed == expected.malformed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_text)
+@example("{{cite journal|a={{x|[[y}}|journal=Z}}")
+@example("{{cite journal|journal=[[a|b=c]]|title={{lang|fr|t=u}}}}")
+@example("{{cite journal|a|journal=N|b| Journal =M|1=c|journal=O}}")
+@example("{{cite journal|journal=N|x=[[a|journal=M]]}} {{cite journal|journal=N|x=[[a]]]]|journal=O}}")
+def test_journal_only_scan_matches_oracle(text):
+    _journal_only_matches_oracle(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_soup_tokens, max_size=40).map("".join))
+def test_journal_only_scan_matches_oracle_on_wikitext_soup(text):
+    _journal_only_matches_oracle(text)
+
+
+@pytest.mark.parametrize(
+    "text, journals",
+    [
+        # a journal key inside a link or a nested template is not the citation's
+        ("{{cite journal|title=[[a|journal=X]]|journal=Y}}", ["Y"]),
+        ("{{cite journal|journal=Y|title=[[a|journal=X]]}}", ["Y"]),
+        ("{{cite journal|title=[[a|journal=X]]}}", [None]),
+        ("{{cite journal|journal=Y|title={{lang|journal=X}}}}", ["Y"]),
+        ("{{cite journal|title={{lang|x|journal=X}}|year=1}}", [None]),
+        # the last of duplicated keys wins
+        ("{{cite journal|journal=A|title=T|journal=B}}", ["B"]),
+        ("{{cite journal|journal=A|title=T|journal=}}", [None]),
+        # keys in any case, with whitespace around them
+        ("{{cite journal| JOURNAL =A}}", ["A"]),
+        ("{{cite journal|title=x| Journal = B |year=1}}", ["B"]),
+        ("{{cite journal|\tjOuRnAl\n=C}}", ["C"]),
+        ("{{cite journal|journals=A|my journal=B|journal x=C}}", [None]),
+        # values that hold a link or a template run past their inner pipes
+        ("{{cite journal|journal=[[Nature (journal)|Nature]]|title=T}}", ["Nature"]),
+        ("{{cite journal|journal={{lang|x|y}} Z|year=1}}", ["{{lang|x|y}} Z"]),
+        ("{{cite journal|journal=[[A]] and [[B|C]]}}", ["A and C"]),
+        # a key hidden in a comment or a nowiki span does not count
+        ("{{cite journal|journal=A<!--|journal=B-->}}", ["A"]),
+        ("{{cite journal|journal=A|title=<nowiki>|journal=B</nowiki>}}", ["A"]),
+        ("{{cite journal|title=T<!--|journal=B-->}}", [None]),
+        ("{{cite journal|<!-- old -->journal=A}}", ["A"]),
+        # non-ASCII text takes the full split
+        ("{{cite journal|journal=\u00c5rsbok|title=T}}", ["\u00c5rsbok"]),
+        ("{{cite journal|\u00a0journal\u3000=N|title=[[\u00e9]]}}", ["N"]),
+        # crossed tokens and stray closers
+        ("{{cite journal|title={{a|[[b}}|c]]|journal=N}}", ["N"]),
+        ("{{cite journal|title=[[a|{{b]]|c}}|journal=N}}", ["N"]),
+        ("{{cite journal|title=a]]|journal=N}}", ["N"]),
+        ("{{cite journal|title=[[a]]]]|journal=N|x=[[y]]}}", ["N"]),
+        ("{{cite journal|title=[[a|journal=M|journal=N}}", [None]),
+    ],
+)
+def test_journal_only_scan_cases(text, journals):
+    assert [r.journal_raw for r in scan_page(page(text), journal_only=True).records] == journals
+    _journal_only_matches_oracle(text)
+
+
+def test_journal_only_scan_splits_only_when_unsure(monkeypatch):
+    """Flat innards and paired tokens before the key need no split; a link
+    in the value needs one, and so do non-ASCII innards."""
+    calls = []
+
+    def counting_split(segment):
+        calls.append(segment)
+        return _split_top_level(segment)
+
+    monkeypatch.setattr(extractor, "_split_top_level", counting_split)
+    text = (
+        "{{cite journal|journal=Nature|title=T}} "
+        "{{cite journal|title={{lang|fr|t}} [[a|b]]|journal=Science|year=1}} "
+        "{{cite journal|journal=[[Cell (journal)|Cell]]|year=2}} "
+        "{{cite journal|journal=Acta \u00c5|year=3}}"
+    )
+    records = scan_page(page(text), journal_only=True).records
+    assert [r.journal_raw for r in records] == ["Nature", "Science", "Cell", "Acta \u00c5"]
+    assert calls == ["[[Cell (journal)|Cell]]|year=2", "cite journal|journal=Acta \u00c5|year=3"]
 
 
 def test_only_citation_spans_are_split(monkeypatch):
