@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter
-from itertools import chain, islice
-from operator import attrgetter
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
 from .extractor import CitationRecord, JournalRecord, PageScan
@@ -22,7 +19,6 @@ if TYPE_CHECKING:
 
 DEFAULT_UNKNOWN_CAP = 100_000
 _RESOLVED_LIMIT = DEFAULT_UNKNOWN_CAP
-_JOURNAL_RAW = attrgetter("journal_raw")
 
 COUNTS_FORMAT = "wikicite-counts-v1"
 
@@ -85,14 +81,10 @@ def tally(
     parameter contribute to ``template_total`` only. Only ``journal_raw`` is
     read, so journal-only records count as full ones do.
 
-    The journals are counted with ``collections.Counter`` in batches of at
-    most ``_RESOLVED_LIMIT`` records. Each batch's distinct strings are
-    taken in order of first appearance, so the unknown map keeps the same
-    strings under ``unknown_cap`` as a record-by-record walk. A string is
-    resolved once per call (``registry.resolve`` depends on nothing else)
-    and its count added at once. The memo is emptied when it reaches
-    ``_RESOLVED_LIMIT`` strings, so that its memory stays bounded like the
-    unknown map's.
+    Each distinct journal string is resolved once per call: a dense corpus
+    repeats the same strings, and ``registry.resolve`` depends on nothing
+    else. The memo is emptied when it reaches ``_RESOLVED_LIMIT`` strings,
+    so that its memory stays bounded like the unknown map's.
     """
     counts: dict[str, int] = {}
     unknown: dict[str, int] = {}
@@ -100,29 +92,26 @@ def tally(
     excluded = 0
     overflow = 0
     total = 0
-    journals = map(_JOURNAL_RAW, records)
-    while True:
-        batch = Counter(islice(journals, _RESOLVED_LIMIT))
-        if not batch:
-            break
-        total += batch.total()
-        batch.pop(None, None)
-        for raw, n in batch.items():
-            resolution = resolved.get(raw)
-            if resolution is None:
-                if len(resolved) >= _RESOLVED_LIMIT:
-                    resolved.clear()
-                resolution = resolved[raw] = registry.resolve(raw)
-            if resolution.kind is ResolutionKind.CANONICAL:
-                counts[resolution.name] = counts.get(resolution.name, 0) + n
-            elif resolution.kind is ResolutionKind.EXCLUDED:
-                excluded += n
-            elif raw in unknown:
-                unknown[raw] += n
-            elif len(unknown) < unknown_cap:
-                unknown[raw] = n
-            else:
-                overflow += n
+    for record in records:
+        total += 1
+        raw = record.journal_raw
+        if raw is None:
+            continue
+        resolution = resolved.get(raw)
+        if resolution is None:
+            if len(resolved) >= _RESOLVED_LIMIT:
+                resolved.clear()
+            resolution = resolved[raw] = registry.resolve(raw)
+        if resolution.kind is ResolutionKind.CANONICAL:
+            counts[resolution.name] = counts.get(resolution.name, 0) + 1
+        elif resolution.kind is ResolutionKind.EXCLUDED:
+            excluded += 1
+        elif raw in unknown:
+            unknown[raw] += 1
+        elif len(unknown) < unknown_cap:
+            unknown[raw] = 1
+        else:
+            overflow += 1
     return CountTable(
         counts=counts,
         excluded_count=excluded,
@@ -144,13 +133,13 @@ def tally_scans(
     malformed counts."""
     malformed_total = 0
 
-    def records_of(scan: PageScan) -> list:
+    def records():
         nonlocal malformed_total
-        malformed_total += scan.malformed
-        return scan.records
+        for scan in scans:
+            malformed_total += scan.malformed
+            yield from scan.records
 
-    records = chain.from_iterable(map(records_of, scans))
-    table = tally(records, registry, unknown_cap=unknown_cap)
+    table = tally(records(), registry, unknown_cap=unknown_cap)
     return table._replace(malformed_total=malformed_total)
 
 

@@ -160,6 +160,7 @@ def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]
     with open(registry_arg, "rb") as fp:
         data = fp.read()
     entry = _stream_manifest_entry(io.BytesIO(data), registry_arg)
+    # Parsed through load_registry, which perfbench's registry.load probe times.
     return load_registry(io.BytesIO(data)), entry
 
 

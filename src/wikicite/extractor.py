@@ -7,8 +7,8 @@ length) before scanning, so record spans always index into the original page
 text. Spans are found by jumping between ``{{`` and ``}}`` with one-character
 ``str.find``, and only spans named ``cite journal`` are split into parameters.
 Counting needs only each citation's journal, so a journal-only scan finds the
-``journal`` parameter directly and splits a span only when nesting or
-non-ASCII text leaves that search unsure.
+``journal`` parameter directly and splits a span only when nesting leaves
+that search unsure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ _NOWIKI = re.compile(
     re.IGNORECASE | re.DOTALL,
 )
 # Up to the end of the last parameter key that, stripped and lowercased, is
-# ``journal``: the pipe before it, the key and the ``=`` after it. On ASCII
-# text ``\s`` and IGNORECASE agree with ``str.strip`` and ``str.lower``.
+# ``journal``: the pipe before it, the key and the ``=`` after it. ``\s``
+# matches exactly what ``str.strip`` strips, and no non-ASCII character
+# matches or lowers into a letter of ``journal``, so this is exact on any text.
 _LAST_JOURNAL_KEY = re.compile(r".*\|\s*journal\s*=", re.IGNORECASE | re.DOTALL)
 # Nesting tokens that pair up in order: each opener is closed by the next token.
 _PAIRED_TOKENS = re.compile(r"(?:\{\{\}\}|\[\[\]\])*")
@@ -260,16 +261,13 @@ def _journal_value_by_split(inner: str, inner_masked: str) -> str | None:
 def _journal_value(inner: str, inner_masked: str) -> str | None:
     """What :func:`_journal_value_by_split` returns, mostly without a split.
 
-    On ASCII innards one regex pass finds the last ``|journal=`` key. Its
-    pipe is top level when the innards hold no ``{{`` or ``[[``, or, when
-    their nesting tokens pair up in order, when an even number of tokens
-    come before it. Its value runs to the next pipe, unless a token starts
-    before that pipe: then it runs to the end of the first part that
-    :func:`_split_top_level` finds in the text after the key. Non-ASCII
-    innards, tokens that do not pair up and a nested last key take the
-    full split."""
-    if not inner_masked.isascii():
-        return _journal_value_by_split(inner, inner_masked)
+    One regex pass finds the last ``|journal=`` key. Its pipe is top level
+    when the innards hold no ``{{`` or ``[[``, or, when their nesting tokens
+    pair up in order, when an even number of tokens come before it. Its
+    value runs to the next pipe, unless a token starts before that pipe:
+    then it runs to the end of the first part that :func:`_split_top_level`
+    finds in the text after the key. Tokens that do not pair up and a
+    nested last key take the full split."""
     key = _LAST_JOURNAL_KEY.match(inner_masked)
     if key is None:
         return None

@@ -121,21 +121,6 @@ def test_tally_memo_limit_keeps_the_table(monkeypatch):
     assert len(journals) > sum(registry.calls.values()) > len(registry.calls)
 
 
-def test_tally_batch_boundary_keeps_the_unknown_cap(monkeypatch):
-    """Batches of three: U1 and U2 enter the unknown map in the first batch
-    and recur in the second; U3 first appears once the cap is full, so both
-    of its occurrences, one on each side of a boundary, overflow."""
-    monkeypatch.setattr(aggregate, "_RESOLVED_LIMIT", 3)
-    journals = ["U1", "U2", "Nature", "U3", "U1", "U2", "U3", "U4", None, "U1"]
-    records = [record(journal) for journal in journals]
-    table = tally(records, _SMALL_REGISTRY, unknown_cap=2)
-    expected = tally_resolving_each(records, _SMALL_REGISTRY, unknown_cap=2)
-    assert table == expected
-    assert list(table.unknown) == list(expected.unknown) == ["U1", "U2"]
-    assert (table.unknown, table.unknown_overflow) == ({"U1": 3, "U2": 2}, 3)
-    assert table.template_total == 10
-
-
 def _random_table(rng: random.Random, fingerprint: str) -> CountTable:
     names = ["Nature", "Science", "Icarus", "JAMA"]
     return CountTable(

@@ -489,8 +489,32 @@ def test_mask_matches_two_pass_regex_oracle(text):
     assert mask_hidden_spans(text) == mask_hidden_spans_by_regex(text)
 
 
+# Non-ASCII text for the journal-only scan's key search: letters that look
+# like, fold like or lower near ``journal`` (Kelvin sign, long s, dotted I,
+# fullwidth and accented forms), and whitespace that ``str.strip`` strips
+# (NEL, line separator, no-break and ideographic space).
+_non_ascii_fragments = st.sampled_from(
+    [
+        "\u00c5rsbok",
+        "\u00e9",
+        "\u212a",
+        "\u017f",
+        "\u0130",
+        "\u0131",
+        "\uff4a\uff4f\uff55\uff52\uff4e\uff41\uff4c",
+        "\u0135ournal",
+        "journal\u0301",
+        "|J\u00d6URNAL=",
+        "\u0085",
+        "\u2028",
+        "|\u00a0journal\u3000=",
+        "|\u0085Journal\u2028= \u00c5 ",
+    ]
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_scan_text)
+@given(st.lists(_scan_fragments | _non_ascii_fragments, max_size=30).map("".join))
 @example("{{cite journal|a={{x|[[y}}|journal=Z}}")
 @example("{{cite journal|journal=[[a|b=c]]|title={{lang|fr|t=u}}}}")
 @example("{{{{cite journal|journal=N}}}} }} [[[x]]] {{{p}}}")
@@ -517,8 +541,32 @@ def _journal_only_matches_oracle(text: str) -> None:
     assert scan.malformed == expected.malformed
 
 
+# Non-ASCII text for the journal-only scan's key search: letters that look
+# like, fold like or lower near ``journal`` (Kelvin sign, long s, dotted I,
+# fullwidth and accented forms), and whitespace that ``str.strip`` strips
+# (NEL, line separator, no-break and ideographic space).
+_non_ascii_fragments = st.sampled_from(
+    [
+        "\u00c5rsbok",
+        "\u00e9",
+        "\u212a",
+        "\u017f",
+        "\u0130",
+        "\u0131",
+        "\uff4a\uff4f\uff55\uff52\uff4e\uff41\uff4c",
+        "\u0135ournal",
+        "journal\u0301",
+        "|J\u00d6URNAL=",
+        "\u0085",
+        "\u2028",
+        "|\u00a0journal\u3000=",
+        "|\u0085Journal\u2028= \u00c5 ",
+    ]
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_scan_text)
+@given(st.lists(_scan_fragments | _non_ascii_fragments, max_size=30).map("".join))
 @example("{{cite journal|a={{x|[[y}}|journal=Z}}")
 @example("{{cite journal|journal=[[a|b=c]]|title={{lang|fr|t=u}}}}")
 @example("{{cite journal|a|journal=N|b| Journal =M|1=c|journal=O}}")
@@ -528,7 +576,7 @@ def test_journal_only_scan_matches_oracle(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_soup_tokens, max_size=40).map("".join))
+@given(st.lists(_soup_tokens | _non_ascii_fragments, max_size=40).map("".join))
 def test_journal_only_scan_matches_oracle_on_wikitext_soup(text):
     _journal_only_matches_oracle(text)
 
@@ -559,9 +607,13 @@ def test_journal_only_scan_matches_oracle_on_wikitext_soup(text):
         ("{{cite journal|journal=A|title=<nowiki>|journal=B</nowiki>}}", ["A"]),
         ("{{cite journal|title=T<!--|journal=B-->}}", [None]),
         ("{{cite journal|<!-- old -->journal=A}}", ["A"]),
-        # non-ASCII text takes the full split
+        # non-ASCII text: Unicode whitespace around the key is stripped, and
+        # no letter outside ASCII folds or lowers into ``journal``
         ("{{cite journal|journal=\u00c5rsbok|title=T}}", ["\u00c5rsbok"]),
         ("{{cite journal|\u00a0journal\u3000=N|title=[[\u00e9]]}}", ["N"]),
+        ("{{cite journal|\u0085JOURNAL\u2028=N}}", ["N"]),
+        ("{{cite journal|journal=N|\uff4a\uff4f\uff55\uff52\uff4e\uff41\uff4c=M}}", ["N"]),
+        ("{{cite journal|journal=N|\u0135ournal=M|journal\u0301=O}}", ["N"]),
         # crossed tokens and stray closers
         ("{{cite journal|title={{a|[[b}}|c]]|journal=N}}", ["N"]),
         ("{{cite journal|title=[[a|{{b]]|c}}|journal=N}}", ["N"]),
@@ -576,8 +628,8 @@ def test_journal_only_scan_cases(text, journals):
 
 
 def test_journal_only_scan_splits_only_when_unsure(monkeypatch):
-    """Flat innards and paired tokens before the key need no split; a link
-    in the value needs one, and so do non-ASCII innards."""
+    """Flat innards, paired tokens before the key and non-ASCII text need no
+    split; a link in the value needs one."""
     calls = []
 
     def counting_split(segment):
@@ -593,7 +645,7 @@ def test_journal_only_scan_splits_only_when_unsure(monkeypatch):
     )
     records = scan_page(page(text), journal_only=True).records
     assert [r.journal_raw for r in records] == ["Nature", "Science", "Cell", "Acta \u00c5"]
-    assert calls == ["[[Cell (journal)|Cell]]|year=2", "cite journal|journal=Acta \u00c5|year=3"]
+    assert calls == ["[[Cell (journal)|Cell]]|year=2"]
 
 
 def test_only_citation_spans_are_split(monkeypatch):
