@@ -1,14 +1,21 @@
 """Fold citation records into per-journal counts.
 
 Count tables are mergeable partial results: ``merge`` is a pointwise sum and
-is associative and commutative with the empty table as identity, so any
-map-reduce plan over page shards gives the same table as a single pass.
+is associative and commutative with the empty table as identity. So any
+map-reduce plan over page shards gives the same table as a single pass, as
+long as the corpus holds at most ``unknown_cap`` distinct unknown strings.
+Past that cap a single pass spills each further string into
+``unknown_overflow``, while a shard spills only past its own cap: with a cap
+of 2, unknown strings A, B and C give 2 unknown and 1 overflow in one pass,
+but 3 unknown and 0 overflow merged from shards {A, B} and {C}. Every other
+field, and the sum of the unknown and overflow tallies, agree under any plan.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple
 
 from .extractor import CitationRecord, JournalRecord, PageScan
@@ -193,8 +200,8 @@ def to_json_dict(table: CountTable) -> dict:
         "excluded_count": table.excluded_count,
         "no_journal_count": table.no_journal_count,
         "unknown_overflow": table.unknown_overflow,
-        "counts": dict(sorted(table.counts.items())),
-        "unknown": dict(sorted(table.unknown.items())),
+        "counts": table.counts,
+        "unknown": table.unknown,
     }
 
 
@@ -204,6 +211,9 @@ _COUNTS_KEYS = frozenset(to_json_dict(CountTable.empty("")))
 def _count(value, what: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"corrupt count table: {what} must be a non-negative integer")
+    if value > sys.float_info.max:
+        # correlate ranks the counts as floats
+        raise ValueError(f"corrupt count table: {what} is too large for a float")
     return value
 
 
@@ -220,8 +230,8 @@ def _tallies(obj, what: str) -> dict[str, int]:
 def from_json_dict(obj) -> CountTable:
     """Parse a counts document, rejecting anything :func:`to_json_dict`
     could not have written: a missing or extra key, non-string keys or
-    fingerprint, counts that are not non-negative integers, and derived
-    fields that disagree with the tallies.
+    fingerprint, counts that are not non-negative integers or are too large
+    for a float, and derived fields that disagree with the tallies.
     """
     if not isinstance(obj, dict) or obj.get("format") != COUNTS_FORMAT:
         raise ValueError(f"not a {COUNTS_FORMAT} document")
@@ -254,50 +264,33 @@ def from_json_dict(obj) -> CountTable:
     return table
 
 
-# The C escaper that json.dumps applies to every string when ensure_ascii=False.
-_encode = json.encoder.encode_basestring
-
-
-def _json_map(tallies: dict[str, int]) -> str:
-    """A str -> int map as ``json.dumps`` writes it with ``indent=2`` and
-    ``sort_keys=True`` one level down."""
-    if not tallies:
-        return "{}"
-    rows = ",\n    ".join([f"{_encode(name)}: {n}" for name, n in sorted(tallies.items())])
-    return "{\n    " + rows + "\n  }"
+def write_json(obj, fp: IO[str]) -> None:
+    """Every JSON file the pipeline writes: two-space indent, sorted keys,
+    UTF-8 text rather than ``\\u`` escapes, and a final newline."""
+    json.dump(obj, fp, indent=2, sort_keys=True, ensure_ascii=False)
+    fp.write("\n")
 
 
 def write_counts_json(table: CountTable, fp: IO[str]) -> None:
-    """``json.dump(to_json_dict(table), fp, indent=2, sort_keys=True,
-    ensure_ascii=False)`` and a newline, built here: with ``indent``, json
-    falls back from its C encoder to the pure-Python one."""
-    fields = []
-    for key, value in sorted(to_json_dict(table).items()):
-        if type(value) is dict:
-            text = _json_map(value)
-        elif type(value) is str:
-            text = _encode(value)
-        else:
-            text = str(value)
-        fields.append(f"  {_encode(key)}: {text}")
-    fp.write("{\n" + ",\n".join(fields) + "\n}\n")
+    write_json(to_json_dict(table), fp)
 
 
 def read_counts_json(fp: IO[str]) -> CountTable:
     return from_json_dict(json.load(fp))
 
 
-def write_counts_csv(table: CountTable, fp: IO[str]) -> None:
-    """``journal,count`` rows, most-cited first, names breaking ties."""
+def _write_ranked_csv(header: list[str], tallies: dict[str, int], fp: IO[str]) -> None:
+    """``header``, then one ``name,count`` row per tally, most frequent
+    first, names breaking ties."""
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["journal", "count"])
-    for name, value in sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        writer.writerow([name, value])
+    writer.writerow(header)
+    writer.writerows(sorted(tallies.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def write_counts_csv(table: CountTable, fp: IO[str]) -> None:
+    _write_ranked_csv(["journal", "count"], table.counts, fp)
 
 
 def write_unknown_csv(table: CountTable, fp: IO[str]) -> None:
-    """Audit output of unmatched journal strings, most frequent first."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["journal_raw", "count"])
-    for name, value in sorted(table.unknown.items(), key=lambda kv: (-kv[1], kv[0])):
-        writer.writerow([name, value])
+    """Audit output of unmatched journal strings."""
+    _write_ranked_csv(["journal_raw", "count"], table.unknown, fp)

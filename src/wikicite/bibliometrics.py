@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import operator
+import sys
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .aggregate import CountTable, RegistryMismatchError
@@ -465,6 +466,9 @@ def read_jcr_csv(fp: IO[str]) -> list[JcrRecord]:
             raise JcrFormatError(f"line {line_no}: {exc}") from None
         if total_citations < 0 or articles < 0 or not impact_factor >= 0:
             raise JcrFormatError(f"line {line_no}: negative or non-finite value")
+        if max(total_citations, articles) > sys.float_info.max:
+            # the series and the combined measure read them as floats
+            raise JcrFormatError(f"line {line_no}: value too large for a float")
         if not math.isfinite(impact_factor):
             raise JcrFormatError(f"line {line_no}: impact factor must be finite")
         records.append(JcrRecord(journal, total_citations, impact_factor, articles))

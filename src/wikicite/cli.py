@@ -36,17 +36,12 @@ from .aggregate import (
     tally_scans,
     write_counts_csv,
     write_counts_json,
+    write_json,
     write_unknown_csv,
 )
 from .dump_reader import DumpParseError, DumpReader, WikiPage, filter_namespaces
 from .extractor import PageScan, read_jsonl, scan_page, write_jsonl
-from .registry import (
-    JournalRegistry,
-    default_registry_text,
-    load_registry,
-    near_misses,
-    parse_registry,
-)
+from .registry import JournalRegistry, default_registry_bytes, load_registry, near_misses
 
 # Names only some commands use, bound into this module on first use so that
 # a command imports just what it runs: the process pool for --jobs > 1, the
@@ -149,17 +144,16 @@ def _file_manifest_entry(path_arg: str) -> dict:
 
 
 def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]:
-    """The registry and its manifest entry. A registry file is read once, so
-    the digest describes exactly the bytes that were parsed."""
+    """The registry and its manifest entry. The registry's bytes, a file's
+    or the built-in's, are read once, so the digest describes exactly the
+    bytes that were parsed, and both are decoded alike."""
     if registry_arg is None:
-        text = default_registry_text()
-        entry = _stream_manifest_entry(
-            io.BytesIO(text.encode("utf-8")), "<builtin starter registry>"
-        )
-        return parse_registry(text.splitlines()), entry
-    with open(registry_arg, "rb") as fp:
-        data = fp.read()
-    entry = _stream_manifest_entry(io.BytesIO(data), registry_arg)
+        data, label = default_registry_bytes(), "<builtin starter registry>"
+    else:
+        with open(registry_arg, "rb") as fp:
+            data = fp.read()
+        label = registry_arg
+    entry = _stream_manifest_entry(io.BytesIO(data), label)
     # Parsed through load_registry, which perfbench's registry.load probe times.
     return load_registry(io.BytesIO(data)), entry
 
@@ -190,33 +184,37 @@ def _dump_pages(args) -> tuple[DumpReader, Iterable[WikiPage], _HashingReader]:
     return reader, pages, stream
 
 
-def parse_sweep(spec: str) -> list[int]:
+def parse_sweep(spec: str, limit: int) -> list[int]:
     """Sweep syntax: comma-separated sizes or inclusive ``lo..hi`` ranges,
-    strictly increasing overall, each size at least 2."""
-    values: list[int] = []
+    strictly increasing overall, each size at least 2. An entry that goes
+    past ``limit``, the number of joined journals, is a data error, found
+    before any range is expanded."""
+    entries: list[tuple[str, int, int]] = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
+        lo_text, sep, hi_text = part.partition("..")
         try:
-            if ".." in part:
-                lo_text, hi_text = part.split("..", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise UsageError(f"empty sweep range {part!r}")
-                values.extend(range(lo, hi + 1))
-            else:
-                values.append(int(part))
+            lo, hi = int(lo_text), int(hi_text if sep else lo_text)
         except ValueError:
             raise UsageError(f"bad sweep entry {part!r}") from None
-    if not values:
+        if hi < lo:
+            raise UsageError(f"empty sweep range {part!r}")
+        entries.append((part, lo, hi))
+    if not entries:
         raise UsageError("empty sweep specification")
-    if values[0] < 2:
+    if entries[0][1] < 2:
         raise UsageError("sweep sizes must be at least 2")
-    for previous, current in zip(values, values[1:]):
+    for (_, _, previous), (_, current, _) in zip(entries, entries[1:]):
         if current <= previous:
             raise UsageError("sweep sizes must be strictly increasing")
-    return values
+    for part, _, hi in entries:
+        if hi > limit:
+            raise InsufficientDataError(
+                f"sweep entry {part!r} is out of range (2..{limit} joined journals)"
+            )
+    return [n for _, lo, hi in entries for n in range(lo, hi + 1)]
 
 
 def _scan_stream(
@@ -269,8 +267,7 @@ class _Outputs:
 
     def json(self, name: str, obj) -> None:
         with self.open(name) as fp:
-            json.dump(obj, fp, indent=2, sort_keys=True, ensure_ascii=False)
-            fp.write("\n")
+            write_json(obj, fp)
 
     def csv(self, name: str, header: list[str], rows: Iterable) -> None:
         with self.open(name) as fp:
@@ -425,7 +422,7 @@ def cmd_correlate(args) -> int:
             "in both the count table and the journal-statistics file"
         )
 
-    sweep = parse_sweep(args.sweep) if args.sweep else list(range(2, n_joined + 1))
+    sweep = parse_sweep(args.sweep, n_joined) if args.sweep else list(range(2, n_joined + 1))
     try:
         results = []
         for series_name in SERIES_NAMES:
@@ -505,12 +502,11 @@ def cmd_gen_fixture(args) -> int:
     )
     with out.open("dump.xml") as fp:
         write_dump(corpus.pages, fp)
-    out.json("truth.json", corpus.truth.as_json_dict())
-    registry_text = default_registry_text()
+    out.json("truth.json", corpus.truth._asdict())
+    data = default_registry_bytes()
     with out.open("registry.tsv") as fp:
-        fp.write(registry_text)
-
-    registry = parse_registry(registry_text.splitlines())
+        fp.write(data.decode("utf-8"))
+    registry = load_registry(io.BytesIO(data))
     scored = sorted(registry.canonical - registry.exclusions)
     rows = ([r[0], r[1], repr(r[2]), r[3]] for r in synthetic_jcr_rows(scored, seed=args.seed))
     out.csv("jcr.csv", ["journal", "total_citations", "impact_factor", "articles"], rows)

@@ -8,7 +8,7 @@ the code under test.
 from __future__ import annotations
 
 import random
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .dump_reader import WikiPage
 
@@ -106,19 +106,6 @@ class CorpusTruth(NamedTuple):
     expected_counts: dict[str, int]
     expected_excluded: int
     expected_unknown: dict[str, int]
-
-    def as_json_dict(self) -> dict:
-        return {
-            "page_count": self.page_count,
-            "citations_total": self.citations_total,
-            "nested_count": self.nested_count,
-            "decoy_count": self.decoy_count,
-            "malformed_total": self.malformed_total,
-            "no_journal_count": self.no_journal_count,
-            "expected_counts": dict(sorted(self.expected_counts.items())),
-            "expected_excluded": self.expected_excluded,
-            "expected_unknown": dict(sorted(self.expected_unknown.items())),
-        }
 
 
 class Corpus(NamedTuple):
@@ -273,16 +260,20 @@ def page_xml(page: WikiPage, include_ns: bool = True) -> str:
     return "".join(parts)
 
 
+def _dump_parts(pages: Iterable[WikiPage]) -> Iterator[str]:
+    """An export document, piece by piece: header, one piece per page, footer."""
+    yield EXPORT_HEADER
+    yield from map(page_xml, pages)
+    yield EXPORT_FOOTER
+
+
 def dump_xml(pages: Iterable[WikiPage]) -> str:
-    body = "".join(page_xml(page) for page in pages)
-    return EXPORT_HEADER + body + EXPORT_FOOTER
+    return "".join(_dump_parts(pages))
 
 
 def write_dump(pages: Iterable[WikiPage], fp: IO[str]) -> None:
-    fp.write(EXPORT_HEADER)
-    for page in pages:
-        fp.write(page_xml(page))
-    fp.write(EXPORT_FOOTER)
+    """Stream the document to ``fp`` one page at a time."""
+    fp.writelines(_dump_parts(pages))
 
 
 # synthetic journal statistics ---------------------------------------

@@ -210,26 +210,25 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
 
 def load_registry(source) -> JournalRegistry:
     """Parse a registry file, given its path or a binary stream of its
-    bytes. A stream is decoded as ``open(path, encoding="utf-8")`` decodes
-    the file: UTF-8, with universal newlines."""
+    bytes, decoded as UTF-8 with universal newlines: only ``\\n``, ``\\r``
+    and ``\\r\\n`` end a line."""
     if hasattr(source, "read"):
         return parse_registry(io.TextIOWrapper(source, encoding="utf-8"))
-    with open(source, "r", encoding="utf-8") as fp:
-        return parse_registry(fp)
+    with open(source, "rb") as fp:
+        return load_registry(fp)
 
 
-def default_registry_text() -> str:
-    """Raw contents of the shipped starter registry file."""
+def default_registry_bytes() -> bytes:
+    """Raw bytes of the shipped starter registry file."""
     from importlib import resources
 
-    return (
-        resources.files(__package__).joinpath(DEFAULT_REGISTRY_RESOURCE).read_text("utf-8")
-    )
+    return resources.files(__package__).joinpath(DEFAULT_REGISTRY_RESOURCE).read_bytes()
 
 
 def load_default_registry() -> JournalRegistry:
-    """The starter registry shipped with the package."""
-    return parse_registry(default_registry_text().splitlines())
+    """The starter registry shipped with the package, decoded by
+    :func:`load_registry` as a registry file is."""
+    return load_registry(io.BytesIO(default_registry_bytes()))
 
 
 def near_misses(

@@ -344,3 +344,22 @@ def test_counts_csv_sorted_by_count_then_name():
     buffer = io.StringIO()
     write_counts_csv(table, buffer)
     assert buffer.getvalue() == "journal,count\nGamma,9\nAlpha,2\nBeta,2\n"
+
+
+def test_merge_matches_one_pass_only_within_the_unknown_cap(starter_registry):
+    """Shards spill only past their own cap: A, B, C with a cap of 2 give
+    2 unknown and 1 overflow in one pass, 3 and 0 merged from {A, B} and {C}.
+    Every other field, and unknown plus overflow, still agree."""
+    records = [record("A"), record("B"), record("C")]
+    whole = tally(records, starter_registry, unknown_cap=2)
+    merged = merge(
+        tally(records[:2], starter_registry, unknown_cap=2),
+        tally(records[2:], starter_registry, unknown_cap=2),
+    )
+    assert (whole.unknown, whole.unknown_overflow) == ({"A": 1, "B": 1}, 1)
+    assert (merged.unknown, merged.unknown_overflow) == ({"A": 1, "B": 1, "C": 1}, 0)
+    assert merged._replace(unknown=whole.unknown, unknown_overflow=1) == whole
+    assert merge(
+        tally(records[:2], starter_registry, unknown_cap=3),
+        tally(records[2:], starter_registry, unknown_cap=3),
+    ) == tally(records, starter_registry, unknown_cap=3)

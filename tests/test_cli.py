@@ -11,7 +11,13 @@ import pytest
 
 from wikicite.aggregate import read_counts_json, write_counts_json, CountTable
 from wikicite.bibliometrics import combined_top_overlap, join, topn_sweep
-from wikicite.cli import UsageError, _load_registry_arg, main, parse_sweep
+from wikicite.cli import (
+    InsufficientDataError,
+    UsageError,
+    _load_registry_arg,
+    main,
+    parse_sweep,
+)
 from wikicite.dump_reader import WikiPage
 from wikicite.extractor import read_jsonl, scan_page
 from wikicite.fixtures import build_corpus, dump_xml, write_dump
@@ -136,6 +142,24 @@ class TestExtract:
 
 
 class TestCount:
+    def test_stdin_count_dump(self, small_dump, tmp_path):
+        """``count --dump -`` counts exactly what ``count --dump FILE`` counts,
+        and its manifest digests the piped bytes."""
+        data = small_dump.read_bytes()
+        piped = subprocess.run(
+            [sys.executable, "-m", "wikicite.cli", "count", "--dump", "-",
+             "--out", str(tmp_path / "piped")],
+            input=data, capture_output=True,
+        )
+        assert piped.returncode == 0, piped.stderr
+        assert main(["count", "--dump", str(small_dump), "--out", str(tmp_path / "file")]) == 0
+        counts = (tmp_path / "piped" / "counts.json").read_bytes()
+        assert counts == (tmp_path / "file" / "counts.json").read_bytes()
+        manifest = json.loads(read(tmp_path / "piped" / "manifest.json"))
+        assert manifest["inputs"]["dump"] == {
+            "path": "-", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data),
+        }
+
     def test_planted_table(self, small_dump, small_corpus, tmp_path):
         out = tmp_path / "out"
         assert main(["count", "--dump", str(small_dump), "--out", str(out)]) == 0
@@ -198,6 +222,32 @@ class TestCount:
         assert registry.fingerprint == load_registry(registry_path).fingerprint
         assert registry.canonical == {"Na\x85ture", "Science", "Time"}
         assert registry.resolve("nat").name == "Na\x85ture"
+
+    def test_builtin_registry_decodes_as_a_registry_file(self, tmp_path, monkeypatch):
+        """The built-in registry's bytes are digested and decoded as a
+        ``--registry`` file's are: NEL, U+2028 and form feed end no line,
+        though ``str.splitlines`` would split at each."""
+        from wikicite import registry as registry_module
+
+        data = (
+            "canonical\tNa\x85ture\r\nalias\tNat\u2028Rev\tNa\x85ture\n"
+            "canonical\tScience\x0cWeekly\n"
+        ).encode("utf-8")
+        path = tmp_path / "registry.tsv"
+        path.write_bytes(data)
+        # Joined to an absolute path, the package's resource path is that path.
+        monkeypatch.setattr(registry_module, "DEFAULT_REGISTRY_RESOURCE", str(path))
+        expected = load_registry(path)
+        assert expected.canonical == {"Na\x85ture", "Science\x0cWeekly"}
+        builtin, entry = _load_registry_arg(None)
+        assert builtin == expected
+        assert builtin.fingerprint == expected.fingerprint
+        assert load_default_registry() == expected
+        assert entry == {
+            "path": "<builtin starter registry>",
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
+        }
 
     def test_requires_an_input(self, tmp_path):
         assert main(["count", "--out", str(tmp_path / "o")]) == 1
@@ -489,13 +539,17 @@ class TestCorrelate:
         )
         assert code == 3
 
-    def test_sweep_beyond_join_size(self, tmp_path):
+    def test_sweep_beyond_join_size(self, tmp_path, capsys):
         _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path, n=5)
         code = main(
             ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
              "--sweep", "2..50", "--out", str(tmp_path / "o")]
         )
         assert code == 3
+        assert capsys.readouterr().err == (
+            "wikicite: insufficient data: sweep entry '2..50' is out of range "
+            "(2..5 joined journals)\n"
+        )
 
     def test_degenerate_sweep_exits_3(self, tmp_path, monkeypatch):
         """A ``DegenerateInputError`` from the sweep is a data error, though
@@ -527,6 +581,23 @@ class TestCorrelate:
         assert code == 2
         assert "expected 4 fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_jcr_value_too_large_for_a_float_exits_2(self, tmp_path, capsys, column):
+        """``combined`` and the series read total_citations and articles as
+        floats, so an integer past the float range is an input error."""
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+        lines = read(jcr_path).splitlines()
+        row = lines[2].split(",")
+        row[column] = "9" * 400
+        lines[2] = ",".join(row)
+        jcr_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "line 3: value too large for a float" in capsys.readouterr().err
+
     def test_registry_mismatch_detected(self, tmp_path):
         _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
         other = tmp_path / "other.tsv"
@@ -543,6 +614,8 @@ _BAD_COUNTS = [
     ("counts", "12", "non-negative integer"),
     ("counts", -5, "non-negative integer"),
     ("counts", True, "non-negative integer"),
+    # correlate ranks the counts as floats
+    pytest.param("counts", 10**400, "is too large for a float", id="counts-huge"),
     ("unknown", 3.7, "non-negative integer"),
     ("unknown", "12", "non-negative integer"),
     ("unknown", -5, "non-negative integer"),
@@ -592,15 +665,26 @@ def test_growth_rejects_corrupt_counts(tmp_path, capsys, field, value, reason):
 
 class TestSweepParsing:
     def test_range_syntax(self):
-        assert parse_sweep("2..10") == list(range(2, 11))
+        assert parse_sweep("2..10", 10) == list(range(2, 11))
 
     def test_mixed_syntax(self):
-        assert parse_sweep("2,5,8..10,20") == [2, 5, 8, 9, 10, 20]
+        assert parse_sweep("2,5,8..10,20", 20) == [2, 5, 8, 9, 10, 20]
 
     @pytest.mark.parametrize("bad", ["", "abc", "5..2", "2,2", "10,5", "1..4", "0"])
     def test_rejects(self, bad):
         with pytest.raises(UsageError):
-            parse_sweep(bad)
+            parse_sweep(bad, 100)
+
+    @pytest.mark.parametrize("spec,entry", [
+        ("2..15", "2..15"), ("2,5..8,20", "20"), ("3,2000000000", "2000000000"),
+        ("2..1000000000", "2..1000000000"),
+    ])
+    def test_entry_past_the_join_is_named_before_expanding(self, spec, entry):
+        """A billion-wide range is refused before it is expanded, and the
+        error names the entry rather than listing every size."""
+        with pytest.raises(InsufficientDataError) as caught:
+            parse_sweep(spec, 14)
+        assert str(caught.value) == f"sweep entry {entry!r} is out of range (2..14 joined journals)"
 
 
 class TestGrowth:

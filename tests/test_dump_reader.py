@@ -148,3 +148,25 @@ def test_entities_unescaped_in_text():
     body = "<page><title>Amp</title><revision><text>A &amp; B &lt;ref&gt;</text></revision></page>"
     (page,) = open_dump(_dump_bytes(body))
     assert page.text == "A & B <ref>"
+
+
+def test_namespace_prefixed_element_names():
+    """An export written with a prefix on every element is read by local
+    names, like the default-namespace form."""
+    document = (
+        '<mw:mediawiki xmlns:mw="http://www.mediawiki.org/xml/export-0.3/">'
+        "<mw:page><mw:title>Banksia</mw:title><mw:ns>4</mw:ns>"
+        "<mw:revision><mw:timestamp>2007-01-01T00:00:00Z</mw:timestamp>"
+        "<mw:text>t</mw:text></mw:revision></mw:page>"
+        "</mw:mediawiki>"
+    )
+    (page,) = open_dump(io.BytesIO(document.encode("utf-8")))
+    assert page == WikiPage("Banksia", 4, "t", "2007-01-01T00:00:00Z")
+
+
+def test_non_integer_ns_falls_back_to_the_title_prefix():
+    body = (
+        "<page><title>Talk:Banksia</title><ns>talk</ns><revision><text>t</text></revision></page>"
+        "<page><title>Banksia</title><ns> </ns><revision><text>t</text></revision></page>"
+    )
+    assert [p.namespace for p in open_dump(_dump_bytes(body))] == [1, 0]
