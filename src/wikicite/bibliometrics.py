@@ -471,6 +471,11 @@ def read_jcr_csv(fp: IO[str]) -> list[JcrRecord]:
             raise JcrFormatError(f"line {line_no}: value too large for a float")
         if not math.isfinite(impact_factor):
             raise JcrFormatError(f"line {line_no}: impact factor must be finite")
+        if not math.isfinite(total_citations * impact_factor):
+            raise JcrFormatError(
+                f"line {line_no}: {journal!r}: total_citations * impact_factor "
+                "(the combined measure) is too large for a float"
+            )
         records.append(JcrRecord(journal, total_citations, impact_factor, articles))
     return records
 

@@ -1,9 +1,10 @@
 """Command-line pipeline: extract, count, correlate, growth, gen-fixture.
 
 Every stage reads and writes plain files so long runs can be resumed at
-stage boundaries, and every run drops a manifest.json recording input
-digests, the exact configuration and the files written. A file appears
-under its final name only once complete (it is written as
+stage boundaries, and every run drops a manifest.json recording the exact
+configuration, the files written and each input's digest. Each input is
+read once, and its digest is taken from exactly the bytes parsed. A file
+appears under its final name only once complete (it is written as
 ``<name>.partial`` and renamed), so a failed run never leaves a partial
 stage file for the next stage to accept. Outputs are byte-identical across
 repeated runs on identical inputs.
@@ -104,15 +105,23 @@ class _Parser(argparse.ArgumentParser):
 # input plumbing -----------------------------------------------------
 
 
-class _HashingReader:
-    """Binary stream wrapper that digests bytes as they flow through, so
-    large dumps are hashed in the same single pass that parses them."""
+class _HashingReader(io.RawIOBase):
+    """One input, read as a binary stream that digests bytes as they are
+    read, so the input is hashed in the same single pass that parses it.
+    It reads ``stream`` if given, else the file ``path_label``, which it
+    opens once and closes; a given stream, such as stdin, is left open."""
 
-    def __init__(self, stream, path_label: str):
-        self._stream = stream
+    _owns_stream = False  # for close(), which io's finalizer calls even if __init__ raised
+
+    def __init__(self, path_label: str, stream=None):
+        self._stream = open(path_label, "rb") if stream is None else stream
+        self._owns_stream = stream is None
         self._digest = hashlib.sha256()
         self.path_label = path_label
         self.bytes_read = 0
+
+    def readable(self) -> bool:
+        return True
 
     def read(self, n: int = -1) -> bytes:
         chunk = self._stream.read(n)
@@ -121,9 +130,15 @@ class _HashingReader:
         return chunk
 
     def close(self) -> None:
-        self._stream.close()
+        if self._owns_stream:
+            self._stream.close()
+        super().close()
 
     def manifest_entry(self) -> dict:
+        """Path, SHA-256 and size of the whole input: what the parser left
+        unread is read to EOF first."""
+        while self.read(1 << 20):
+            pass
         return {
             "path": self.path_label,
             "sha256": self._digest.hexdigest(),
@@ -131,31 +146,22 @@ class _HashingReader:
         }
 
 
-def _stream_manifest_entry(stream, path_label: str) -> dict:
-    hashing = _HashingReader(stream, path_label)
-    while hashing.read(1 << 20):
-        pass
-    return hashing.manifest_entry()
-
-
-def _file_manifest_entry(path_arg: str) -> dict:
-    with open(path_arg, "rb") as fp:
-        return _stream_manifest_entry(fp, path_arg)
+def _read_input(path_arg: str, parse, stream=None, text: bool = True) -> tuple:
+    """``parse`` of one input, given as its ``_HashingReader`` or, for
+    ``text``, decoded as ``open(path, encoding="utf-8")`` decodes it; and
+    the input's manifest entry, digested from the same bytes."""
+    with _HashingReader(path_arg, stream) as reader:
+        source = io.TextIOWrapper(reader, encoding="utf-8") if text else reader
+        return parse(source), reader.manifest_entry()
 
 
 def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]:
-    """The registry and its manifest entry. The registry's bytes, a file's
-    or the built-in's, are read once, so the digest describes exactly the
-    bytes that were parsed, and both are decoded alike."""
-    if registry_arg is None:
-        data, label = default_registry_bytes(), "<builtin starter registry>"
-    else:
-        with open(registry_arg, "rb") as fp:
-            data = fp.read()
-        label = registry_arg
-    entry = _stream_manifest_entry(io.BytesIO(data), label)
+    """The registry, a file's or the built-in's, and its manifest entry."""
     # Parsed through load_registry, which perfbench's registry.load probe times.
-    return load_registry(io.BytesIO(data)), entry
+    if registry_arg is not None:
+        return _read_input(registry_arg, load_registry, text=False)
+    builtin = io.BytesIO(default_registry_bytes())
+    return _read_input("<builtin starter registry>", load_registry, builtin, text=False)
 
 
 def _parse_namespaces(spec: str) -> set[int] | None:
@@ -172,14 +178,10 @@ def _parse_namespaces(spec: str) -> set[int] | None:
 
 def _dump_pages(args) -> tuple[DumpReader, Iterable[WikiPage], _HashingReader]:
     """The ``--dump`` reader, its pages in the ``--namespaces`` kept, and
-    the stream that digests the dump as it is read."""
+    the stream that digests the dump as it is read, for the caller to close."""
     namespaces = _parse_namespaces(args.namespaces)
-    if args.dump == "-":
-        stream = _HashingReader(sys.stdin.buffer, "-")
-        reader = DumpReader(stream)
-    else:
-        stream = _HashingReader(open(args.dump, "rb"), args.dump)
-        reader = DumpReader(stream, owns_stream=True)
+    stream = _HashingReader(args.dump, sys.stdin.buffer if args.dump == "-" else None)
+    reader = DumpReader(stream)
     pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
     return reader, pages, stream
 
@@ -300,12 +302,13 @@ def cmd_extract(args) -> int:
     malformed_total = 0
     duplicate_params = 0
     pages_scanned = 0
-    with out.open("citations.jsonl") as fp:
+    with dump_stream, out.open("citations.jsonl") as fp:
         for scan in _scan_stream(pages, args.jobs):
             pages_scanned += 1
             malformed_total += scan.malformed
             duplicate_params += scan.duplicate_params
             records_total += write_jsonl(scan.records, fp)
+        inputs = {"dump": dump_stream.manifest_entry()}
 
     summary = {
         "pages_seen": reader.pages_seen,
@@ -316,7 +319,7 @@ def cmd_extract(args) -> int:
         "duplicate_params": duplicate_params,
     }
     out.json("extract_summary.json", summary)
-    out.manifest(args, {"dump": dump_stream.manifest_entry()})
+    out.manifest(args, inputs)
     print(
         f"extract: pages={pages_scanned} records={records_total} "
         f"malformed={malformed_total} skipped={reader.pages_skipped}",
@@ -338,32 +341,31 @@ def _table_from_citations(path: str, registry: JournalRegistry) -> tuple[CountTa
     malformed_total, expected_records = 0, None
     summary_path = Path(path).with_name("extract_summary.json")
     if summary_path.exists():
-        with open(summary_path, "r", encoding="utf-8") as fp:
-            summary = json.load(fp)
+        summary, inputs["extract_summary"] = _read_input(str(summary_path), json.load)
         malformed_total = _summary_count(summary, "malformed_total", summary_path)
         expected_records = _summary_count(summary, "records", summary_path)
-        inputs["extract_summary"] = _file_manifest_entry(str(summary_path))
     else:
         print(
             "count: no extract_summary.json next to the citations file; "
             "malformed_total set to 0",
             file=sys.stderr,
         )
-    with open(path, "r", encoding="utf-8") as fp:
-        table = tally(read_jsonl(fp), registry, malformed_total=malformed_total)
+    table, inputs["citations"] = _read_input(
+        path, lambda fp: tally(read_jsonl(fp), registry, malformed_total=malformed_total)
+    )
     if expected_records is not None and table.template_total != expected_records:
         raise ValueError(
             f"{path} holds {table.template_total} records but "
             f"{summary_path} says {expected_records}: truncated or stale"
         )
-    inputs["citations"] = _file_manifest_entry(path)
     return table, inputs
 
 
 def _table_from_dump(args, registry: JournalRegistry) -> tuple[CountTable, dict]:
     _, pages, dump_stream = _dump_pages(args)
-    table = tally_scans(_scan_stream(pages, args.jobs, journal_only=True), registry)
-    return table, {"dump": dump_stream.manifest_entry()}
+    with dump_stream:
+        table = tally_scans(_scan_stream(pages, args.jobs, journal_only=True), registry)
+        return table, {"dump": dump_stream.manifest_entry()}
 
 
 def _write_count_outputs(out: _Outputs, table: CountTable) -> None:
@@ -402,17 +404,14 @@ def cmd_correlate(args) -> int:
     out = _Outputs(args.out)
     registry, registry_entry = _load_registry_arg(args.registry)
     if args.counts is not None:
-        with open(args.counts, "r", encoding="utf-8") as fp:
-            table = read_counts_json(fp)
-        inputs = {"counts": _file_manifest_entry(args.counts)}
+        table, counts_entry = _read_input(args.counts, read_counts_json)
+        inputs = {"counts": counts_entry}
     else:
         table, inputs = _table_from_dump(args, registry)
         _write_count_outputs(out, table)
     inputs["registry"] = registry_entry
 
-    with open(args.jcr, "r", encoding="utf-8") as fp:
-        jcr_rows = read_jcr_csv(fp)
-    inputs["jcr"] = _file_manifest_entry(args.jcr)
+    jcr_rows, inputs["jcr"] = _read_input(args.jcr, read_jcr_csv)
 
     joined = join(table, jcr_rows, registry)
     n_joined = len(joined.metrics)
@@ -472,9 +471,8 @@ def cmd_growth(args) -> int:
             when = date.fromisoformat(date_text)
         except ValueError:
             raise UsageError(f"bad date {date_text!r} in {spec!r}") from None
-        with open(path, "r", encoding="utf-8") as fp:
-            dated.append((when, read_counts_json(fp)))
-        inputs[f"table_{index}"] = _file_manifest_entry(path)
+        table, inputs[f"table_{index}"] = _read_input(path, read_counts_json)
+        dated.append((when, table))
 
     try:
         series = growth_report(dated)

@@ -313,9 +313,7 @@ class StreamingDumpSource:
         self.largest_page_bytes = 0
         self.pages_generated = 0
         self._buffer = bytearray()
-        self._header_pending = True
-        self._footer_pending = True
-        self._generated = 0
+        self._chunks = self._encoded_chunks()
         pool_rng = random.Random(seed + 1)
         self._citation_pool = [
             _render_citation(pool_rng, text, nested=(i % 7 == 0))
@@ -350,21 +348,19 @@ class StreamingDumpSource:
             self.largest_page_bytes = len(encoded)
         return encoded
 
+    def _encoded_chunks(self) -> Iterator[bytes]:
+        """The header, pages until ``target_bytes`` of them, the footer."""
+        yield EXPORT_HEADER.encode("utf-8")
+        generated = 0
+        while generated < self._target:
+            page = self._next_page()
+            generated += len(page)
+            yield page
+        yield EXPORT_FOOTER.encode("utf-8")
+
     def _fill(self, needed: int) -> None:
-        while len(self._buffer) < needed:
-            if self._header_pending:
-                self._buffer += EXPORT_HEADER.encode("utf-8")
-                self._header_pending = False
-                continue
-            if self._generated < self._target:
-                chunk = self._next_page()
-                self._generated += len(chunk)
-                self._buffer += chunk
-                continue
-            if self._footer_pending:
-                self._buffer += EXPORT_FOOTER.encode("utf-8")
-                self._footer_pending = False
-            break
+        while len(self._buffer) < needed and (chunk := next(self._chunks, b"")):
+            self._buffer += chunk
 
     def read(self, n: int = -1) -> bytes:
         if n < 0:

@@ -211,11 +211,15 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
 def load_registry(source) -> JournalRegistry:
     """Parse a registry file, given its path or a binary stream of its
     bytes, decoded as UTF-8 with universal newlines: only ``\\n``, ``\\r``
-    and ``\\r\\n`` end a line."""
-    if hasattr(source, "read"):
-        return parse_registry(io.TextIOWrapper(source, encoding="utf-8"))
-    with open(source, "rb") as fp:
-        return load_registry(fp)
+    and ``\\r\\n`` end a line. A stream is read to its end and left open."""
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fp:
+            return load_registry(fp)
+    text = io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        return parse_registry(text)
+    finally:
+        text.detach()
 
 
 def default_registry_bytes() -> bytes:

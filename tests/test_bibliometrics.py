@@ -378,6 +378,12 @@ class TestJcrCsv:
                 )
             )
 
+    def test_combined_overflow_rejected(self):
+        """``join`` multiplies total_citations by impact_factor; a row whose
+        product is not a finite float is named by line and journal."""
+        with pytest.raises(JcrFormatError, match="line 3: 'Science': total_citations"):
+            read_jcr_csv(io.StringIO(self.GOOD.replace("280000,27.1", f"{10**300},1e10")))
+
     def test_non_numeric_rejected(self):
         with pytest.raises(JcrFormatError, match="line 2"):
             read_jcr_csv(

@@ -1,5 +1,7 @@
 import csv
+import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -14,7 +16,9 @@ from wikicite.bibliometrics import combined_top_overlap, join, topn_sweep
 from wikicite.cli import (
     InsufficientDataError,
     UsageError,
+    _HashingReader,
     _load_registry_arg,
+    _read_input,
     main,
     parse_sweep,
 )
@@ -598,6 +602,24 @@ class TestCorrelate:
         assert code == 2
         assert "line 3: value too large for a float" in capsys.readouterr().err
 
+    def test_combined_overflow_exits_2(self, tmp_path, capsys):
+        """A row whose total_citations and impact_factor are finite but
+        whose product, ``combined``, is not is an input error naming the
+        line and the journal, not a finiteness failure of the statistics."""
+        fx = tmp_path / "fx"
+        assert main(["gen-fixture", "--pages", "60", "--citations", "200", "--out", str(fx)]) == 0
+        with open(fx / "jcr.csv", newline="", encoding="utf-8") as fp:
+            rows = list(csv.reader(fp))
+        rows[2][1:3] = [str(10**300), "1e10"]
+        with open(fx / "jcr.csv", "w", newline="", encoding="utf-8") as fp:
+            csv.writer(fp, lineterminator="\n").writerows(rows)
+        code = main(
+            ["correlate", "--dump", str(fx / "dump.xml"), "--registry", str(fx / "registry.tsv"),
+             "--jcr", str(fx / "jcr.csv"), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert f"line 3: {rows[2][0]!r}: total_citations" in capsys.readouterr().err
+
     def test_registry_mismatch_detected(self, tmp_path):
         _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
         other = tmp_path / "other.tsv"
@@ -929,6 +951,129 @@ def test_manifest_config_per_command(tmp_path, monkeypatch):
         ["growth", "--table", "2006-01-01=c1/counts.json",
          "--table", "2007-01-01=c2/counts.json", "--out", "g"]
     ) == {"out": "g", "table": ["2006-01-01=c1/counts.json", "2007-01-01=c2/counts.json"]}
+
+
+class TestOneReadPerInput:
+    """Each input file is opened once, and its manifest entry is the digest
+    of the bytes on disk, taken in the pass that parses it."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one_read")
+        fx = root / "fx"
+        assert main(["gen-fixture", "--pages", "60", "--citations", "200", "--out", str(fx)]) == 0
+        assert main(["extract", "--dump", str(fx / "dump.xml"), "--out", str(root / "ex")]) == 0
+        for name in ("c1", "c2"):
+            assert main(
+                ["count", "--dump", str(fx / "dump.xml"), "--registry", str(fx / "registry.tsv"),
+                 "--out", str(root / name)]
+            ) == 0
+        return root
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (["count", "--citations", "{r}/ex/citations.jsonl", "--registry", "{r}/fx/registry.tsv"],
+         {"extract_summary": "{r}/ex/extract_summary.json",
+          "citations": "{r}/ex/citations.jsonl", "registry": "{r}/fx/registry.tsv"}),
+        (["count", "--dump", "{r}/fx/dump.xml", "--registry", "{r}/fx/registry.tsv"],
+         {"dump": "{r}/fx/dump.xml", "registry": "{r}/fx/registry.tsv"}),
+        (["correlate", "--counts", "{r}/c1/counts.json", "--registry", "{r}/fx/registry.tsv",
+          "--jcr", "{r}/fx/jcr.csv"],
+         {"counts": "{r}/c1/counts.json", "registry": "{r}/fx/registry.tsv",
+          "jcr": "{r}/fx/jcr.csv"}),
+        (["growth", "--table", "2006-01-01={r}/c1/counts.json",
+          "--table", "2007-01-01={r}/c2/counts.json"],
+         {"table_0": "{r}/c1/counts.json", "table_1": "{r}/c2/counts.json"}),
+    ], ids=["count-citations", "count-dump", "correlate-counts", "growth"])
+    def test_each_input_is_opened_once(self, root, tmp_path, monkeypatch, argv, inputs):
+        from wikicite import cli
+
+        opened: list[str] = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        out = tmp_path / "out"
+        assert main([arg.format(r=root) for arg in argv] + ["--out", str(out)]) == 0
+        expected = {key: path.format(r=root) for key, path in inputs.items()}
+        assert {path: opened.count(path) for path in expected.values()} == {
+            path: 1 for path in expected.values()
+        }
+        manifest_inputs = json.loads(read(out / "manifest.json"))["inputs"]
+        assert manifest_inputs.keys() == expected.keys()
+        for key, path in expected.items():
+            data = Path(path).read_bytes()
+            assert manifest_inputs[key] == {
+                "path": path, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data),
+            }
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+        lambda text: text.encode("utf-16"),
+    ], ids=["utf-8-bom", "utf-16"])
+    def test_counts_json_is_strict_utf_8(self, root, tmp_path, capsys, encode):
+        """Decoded as ``open(path, encoding="utf-8")`` decodes it: a BOM or
+        a UTF-16 file is an input error, never sniffed and accepted."""
+        counts = tmp_path / "counts.json"
+        counts.write_bytes(encode(read(root / "c1" / "counts.json")))
+        assert main(
+            ["correlate", "--counts", str(counts), "--registry", str(root / "fx" / "registry.tsv"),
+             "--jcr", str(root / "fx" / "jcr.csv"), "--out", str(tmp_path / "k")]
+        ) == 2
+        assert main(["growth", "--table", f"2006-01-01={counts}", "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err.count("wikicite: input error:") == 2
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_parse_as_universal_newlines(self, root, tmp_path, newline):
+        """CRLF and bare-CR line ends in ``citations.jsonl`` and ``jcr.csv``
+        give the outputs that LF line ends give."""
+        registry = str(root / "fx" / "registry.tsv")
+        ex = tmp_path / "ex"
+        ex.mkdir()
+        for name in ("citations.jsonl", "extract_summary.json"):
+            text = (root / "ex" / name).read_bytes().decode("utf-8")
+            (ex / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
+        jcr = tmp_path / "jcr.csv"
+        jcr.write_bytes(read(root / "fx" / "jcr.csv").replace("\n", newline).encode("utf-8"))
+        assert b"\r" in (ex / "citations.jsonl").read_bytes()
+        for jsonl, jcr_path, out in (
+            (root / "ex" / "citations.jsonl", root / "fx" / "jcr.csv", tmp_path / "lf"),
+            (ex / "citations.jsonl", jcr, tmp_path / "other"),
+        ):
+            assert main(
+                ["count", "--citations", str(jsonl), "--registry", registry,
+                 "--out", str(out / "count")]
+            ) == 0
+            assert main(
+                ["correlate", "--counts", str(out / "count" / "counts.json"),
+                 "--registry", registry, "--jcr", str(jcr_path), "--out", str(out / "corr")]
+            ) == 0
+        for name in ("count/counts.json", "count/unknown.csv", "corr/correlations.csv",
+                     "corr/scatter.csv", "corr/overlap.csv", "corr/join_audit.json"):
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+
+    def test_stdin_dump_leaves_stdin_open(self, small_dump, tmp_path, monkeypatch):
+        """``--dump -`` digests stdin but never closes it, not even when the
+        reader wrapping it is finalized."""
+        stdin = io.TextIOWrapper(io.BytesIO(small_dump.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["count", "--dump", "-", "--out", str(tmp_path / "o")]) == 0
+        gc.collect()
+        assert not stdin.buffer.closed
+        assert stdin.buffer.read() == b""
+
+    def test_partial_read_digests_the_whole_stream(self, tmp_path):
+        data = b"first line\nsecond line\n" * 1000
+        reader = _HashingReader("<label>", io.BytesIO(data))
+        assert reader.read(5) == b"first"
+        whole = {"path": "<label>", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        assert reader.manifest_entry() == whole
+        path = tmp_path / "lines.txt"
+        path.write_bytes(data)
+        first, entry = _read_input(str(path), lambda fp: fp.readline())
+        assert first == "first line\n"
+        assert entry == {**whole, "path": str(path)}
 
 
 def test_cli_import_skips_network_modules():

@@ -245,6 +245,10 @@ def test_load_registry_file(tmp_path):
 
     registry = load_registry(path)
     assert registry.resolve("nat").name == "Nature"
+    with open(path, "rb") as stream:
+        assert load_registry(stream) == registry
+        # The caller still digests and closes the stream it passed.
+        assert not stream.closed and stream.read() == b""
 
 
 def test_parse_registry_normalizes_each_name_once(monkeypatch):
