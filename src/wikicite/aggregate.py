@@ -271,6 +271,14 @@ def write_json(obj, fp: IO[str]) -> None:
     fp.write("\n")
 
 
+def write_csv(header: list[str], rows: Iterable, fp: IO[str]) -> None:
+    """Every CSV file the pipeline writes: ``header``, then ``rows``, with
+    ``\\n`` line ends."""
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def write_counts_json(table: CountTable, fp: IO[str]) -> None:
     write_json(to_json_dict(table), fp)
 
@@ -282,9 +290,7 @@ def read_counts_json(fp: IO[str]) -> CountTable:
 def _write_ranked_csv(header: list[str], tallies: dict[str, int], fp: IO[str]) -> None:
     """``header``, then one ``name,count`` row per tally, most frequent
     first, names breaking ties."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(sorted(tallies.items(), key=lambda kv: (-kv[1], kv[0])))
+    write_csv(header, sorted(tallies.items(), key=lambda kv: (-kv[1], kv[0])), fp)
 
 
 def write_counts_csv(table: CountTable, fp: IO[str]) -> None:

@@ -15,7 +15,7 @@ import operator
 import sys
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .aggregate import CountTable, RegistryMismatchError
+from .aggregate import CountTable, RegistryMismatchError, write_csv
 from .registry import JournalRegistry, ResolutionKind
 
 SERIES_NAMES = ("total_citations", "impact_factor", "articles", "combined")
@@ -481,16 +481,15 @@ def read_jcr_csv(fp: IO[str]) -> list[JcrRecord]:
 
 
 def write_correlations_csv(results: Iterable[CorrelationResult], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["series", "n", "tau", "z", "p_value"])
-    for r in results:
-        writer.writerow([r.series_name, r.n, repr(r.tau), repr(r.z), repr(r.p_value)])
+    rows = ([r.series_name, r.n, repr(r.tau), repr(r.z), repr(r.p_value)] for r in results)
+    write_csv(["series", "n", "tau", "z", "p_value"], rows, fp)
 
 
 def write_scatter_csv(
     rows: Iterable[tuple[str, int, float, bool]], fp: IO[str]
 ) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["journal", "wiki_count", "combined", "labeled"])
-    for journal, wiki_count, combined, labeled in rows:
-        writer.writerow([journal, wiki_count, repr(combined), "true" if labeled else "false"])
+    formatted = (
+        [journal, wiki_count, repr(combined), "true" if labeled else "false"]
+        for journal, wiki_count, combined, labeled in rows
+    )
+    write_csv(["journal", "wiki_count", "combined", "labeled"], formatted, fp)

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 input-format error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import importlib
 import io
@@ -37,6 +36,7 @@ from .aggregate import (
     tally_scans,
     write_counts_csv,
     write_counts_json,
+    write_csv,
     write_json,
     write_unknown_csv,
 )
@@ -273,9 +273,7 @@ class _Outputs:
 
     def csv(self, name: str, header: list[str], rows: Iterable) -> None:
         with self.open(name) as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            write_csv(header, rows, fp)
 
     def manifest(self, args, inputs: dict) -> None:
         """The run's configuration is every parsed option of its subcommand."""
@@ -399,7 +397,25 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _check_correlate_options(args) -> None:
+    """Option errors that no input can cure: a negative size or label
+    budget, or an overlap k above its m. A k or m past the number of
+    joined journals is found only after the join, as a data error."""
+    for flag, value in (
+        ("--overlap-k", args.overlap_k),
+        ("--overlap-m", args.overlap_m),
+        ("--labels", args.labels),
+    ):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must not be negative, got {value}")
+    if None not in (args.overlap_k, args.overlap_m) and args.overlap_k > args.overlap_m:
+        raise UsageError(
+            f"--overlap-k {args.overlap_k} is greater than --overlap-m {args.overlap_m}"
+        )
+
+
 def cmd_correlate(args) -> int:
+    _check_correlate_options(args)
     _load("wikicite.bibliometrics")
     out = _Outputs(args.out)
     registry, registry_entry = _load_registry_arg(args.registry)

@@ -248,18 +248,26 @@ def clean_journal_value(value: str) -> str:
     return value.strip()
 
 
-def _journal_value_by_split(inner: str, inner_masked: str) -> str | None:
-    """The stripped value of the last top-level ``journal`` parameter, found
-    by splitting the template innards into every part."""
-    value = None
-    for part_lo, part_hi, eq in _split_top_level(inner_masked)[1:]:
-        if eq >= 0 and inner_masked[part_lo:eq].strip().lower() == "journal":
-            value = inner[eq + 1 : part_hi]
-    return None if value is None else value.strip()
+def _params(
+    inner: str, inner_masked: str, parts: list[tuple[int, int, int]]
+) -> dict[str, str]:
+    """The parameter map of template innards split into ``parts`` by
+    :func:`_split_top_level`, the name part first. A key is stripped and
+    lowercased, a part with no ``=`` is numbered from 1, values are
+    stripped, and a repeated key keeps its first position but the last value."""
+    params: dict[str, str] = {}
+    positional = 0
+    for part_lo, part_hi, eq in parts[1:]:
+        if eq < 0:
+            positional += 1
+            params[str(positional)] = inner[part_lo:part_hi].strip()
+        else:
+            params[inner_masked[part_lo:eq].strip().lower()] = inner[eq + 1 : part_hi].strip()
+    return params
 
 
 def _journal_value(inner: str, inner_masked: str) -> str | None:
-    """What :func:`_journal_value_by_split` returns, mostly without a split.
+    """The ``journal`` value of :func:`_params`, mostly without a split.
 
     One regex pass finds the last ``|journal=`` key. Its pipe is top level
     when the innards hold no ``{{`` or ``[[``, or, when their nesting tokens
@@ -280,7 +288,7 @@ def _journal_value(inner: str, inner_masked: str) -> str | None:
             not _PAIRED_TOKENS.fullmatch("".join(_NEST_TOKENS.findall(inner_masked)))
             or len(_NEST_TOKENS.findall(inner_masked, 0, value_start)) % 2
         ):
-            return _journal_value_by_split(inner, inner_masked)
+            return _params(inner, inner_masked, _split_top_level(inner_masked)).get("journal")
         if _NEST_TOKENS.search(inner_masked, value_start, value_end):
             value_end = value_start + _split_top_level(inner_masked[value_start:])[0][1]
     return inner[value_start:value_end].strip()
@@ -327,15 +335,7 @@ def scan_page(page: WikiPage, *, journal_only: bool = False) -> PageScan:
         inner = text[inner_start:inner_end]
         inner_masked = masked[inner_start:inner_end]
         parts = _split_top_level(inner_masked)
-
-        params: dict[str, str] = {}
-        positional = 0
-        for part_lo, part_hi, eq in parts[1:]:
-            if eq < 0:
-                positional += 1
-                params[str(positional)] = inner[part_lo:part_hi].strip()
-            else:
-                params[inner_masked[part_lo:eq].strip().lower()] = inner[eq + 1 : part_hi].strip()
+        params = _params(inner, inner_masked, parts)
         # Each part stores one key, so every part past the distinct keys repeats one.
         duplicates += len(parts) - 1 - len(params)
 

@@ -7,7 +7,12 @@ The registry file is line-oriented UTF-8 with tab-separated fields:
     exclude<TAB>Canonical Name
 
 ``#`` starts a comment. Load order does not matter; an ``exclude`` line
-implies canonical membership.
+implies canonical membership. A file and :meth:`JournalRegistry.build` obey
+the same rules: every name and alias text has a non-empty key (see
+:func:`normalize_key`), no two canonical names share a key, every alias
+points at a declared journal, no two aliases share a key, and an alias key
+that is a canonical name's key points at that name. Every alias error
+names its line.
 """
 
 from __future__ import annotations
@@ -78,50 +83,65 @@ class JournalRegistry(NamedTuple):
         aliases: dict[str, str] | None = None,
         exclusions: Iterable[str] = (),
     ) -> "JournalRegistry":
-        """Assemble and validate a registry from plain collections.
+        """Assemble and validate a registry from plain collections, by the
+        rules a registry file obeys.
 
         ``aliases`` maps alias text (not yet normalized) to canonical names.
         """
-        keyed = {text: (normalize_key(text), target) for text, target in (aliases or {}).items()}
-        return cls._build(canonical, keyed, exclusions)
+        entries = [(text, None, target) for text, target in (aliases or {}).items()]
+        return cls._build(canonical, entries, exclusions)
 
     @classmethod
     def _build(
         cls,
         canonical: Iterable[str],
-        keyed_aliases: dict[str, tuple[str, str]],
+        alias_entries: Iterable[tuple[str, int | None, str]],
         exclusions: Iterable[str],
     ) -> "JournalRegistry":
-        """:meth:`build` with each alias text already mapped to its
-        normalized key and its canonical name."""
-        canonical_set = frozenset(canonical) | frozenset(exclusions)
-        exclusion_set = frozenset(exclusions)
+        """The registry of ``canonical``, ``exclusions`` and ``(alias_text,
+        line_no, target)`` alias entries, each rule of the module docstring
+        checked here and only here. An alias error names its ``line_no``
+        unless that is None."""
+        # Each set, map and so the repr is built in sorted order, whatever
+        # the order of the lines or the arguments.
+        exclusion_set = frozenset(sorted(exclusions))
+        names = sorted(exclusion_set.union(canonical))
+        canonical_set = frozenset(names)
         key_to_name: dict[str, str] = {}
-        for name in sorted(canonical_set):
+        for name in names:
             key = normalize_key(name)
             if not key:
                 raise RegistryLoadError(f"canonical name {name!r} normalizes to nothing")
-            existing = key_to_name.get(key)
-            if existing is not None and existing != name:
+            existing = key_to_name.setdefault(key, name)
+            if existing != name:
                 raise RegistryLoadError(
                     f"canonical names {existing!r} and {name!r} share the key {key!r}"
                 )
-            key_to_name[key] = name
         alias_map: dict[str, str] = {}
-        for alias_text, (key, target) in sorted(keyed_aliases.items()):
-            if not key:
-                raise RegistryLoadError(f"alias {alias_text!r} normalizes to nothing")
+        declared: dict[str, tuple[str, int | None]] = {}
+        for alias_text, line_no, target in sorted(alias_entries):
             if target not in canonical_set:
                 raise RegistryLoadError(
-                    f"alias {alias_text!r} points at undeclared journal {target!r}"
+                    f"alias {alias_text!r} points at undeclared journal {target!r}", line_no
                 )
-            existing = key_to_name.get(key)
-            if existing is not None and existing != target:
+            key = normalize_key(alias_text)
+            if not key:
+                raise RegistryLoadError(f"alias {alias_text!r} normalizes to nothing", line_no)
+            if key in declared:
+                first_text, first_line = declared[key]
+                where = "" if first_line is None else f" (line {first_line})"
                 raise RegistryLoadError(
-                    f"alias key {key!r} conflicts with existing mapping to {existing!r}"
+                    f"duplicate alias key {key!r}: {alias_text!r} and {first_text!r}{where}",
+                    line_no,
                 )
+            existing = key_to_name.setdefault(key, target)
+            if existing != target:
+                raise RegistryLoadError(
+                    f"alias key {key!r} conflicts with existing mapping to {existing!r}",
+                    line_no,
+                )
+            declared[key] = (alias_text, line_no)
             alias_map[key] = target
-            key_to_name[key] = target
         fingerprint = _fingerprint(canonical_set, alias_map, exclusion_set)
         return cls(
             canonical=canonical_set,
@@ -159,53 +179,31 @@ def _fingerprint(
 
 
 def parse_registry(lines: Iterable[str]) -> JournalRegistry:
-    """Parse registry lines. Order-independent: names are collected first,
-    then aliases are validated against them."""
+    """Parse registry lines. Only each line's syntax is checked here;
+    :meth:`JournalRegistry._build` checks every other rule, so a file and
+    :meth:`JournalRegistry.build` obey the same ones."""
     canonical: set[str] = set()
     exclusions: set[str] = set()
-    alias_lines: list[tuple[int, str, str, str]] = []
-    seen_alias_keys: dict[str, int] = {}
+    alias_entries: list[tuple[str, int, str]] = []
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = [f.strip() for f in stripped.split("\t")]
         kind = fields[0]
-        if kind == "canonical":
-            if len(fields) != 2 or not fields[1]:
-                raise RegistryLoadError("canonical line needs one name field", line_no)
-            canonical.add(fields[1])
-        elif kind == "exclude":
-            if len(fields) != 2 or not fields[1]:
-                raise RegistryLoadError("exclude line needs one name field", line_no)
-            exclusions.add(fields[1])
-        elif kind == "alias":
+        if kind == "alias":
             if len(fields) != 3 or not fields[1] or not fields[2]:
                 raise RegistryLoadError(
                     "alias line needs alias text and a canonical name", line_no
                 )
-            key = normalize_key(fields[1])
-            if key in seen_alias_keys:
-                raise RegistryLoadError(
-                    f"duplicate alias key {key!r} (first declared on line "
-                    f"{seen_alias_keys[key]})",
-                    line_no,
-                )
-            seen_alias_keys[key] = line_no
-            alias_lines.append((line_no, fields[1], key, fields[2]))
+            alias_entries.append((fields[1], line_no, fields[2]))
+        elif kind in ("canonical", "exclude"):
+            if len(fields) != 2 or not fields[1]:
+                raise RegistryLoadError(f"{kind} line needs one name field", line_no)
+            (canonical if kind == "canonical" else exclusions).add(fields[1])
         else:
             raise RegistryLoadError(f"unknown line kind {kind!r}", line_no)
-
-    aliases = {}
-    declared = canonical | exclusions
-    for line_no, alias_text, key, target in alias_lines:
-        if target not in declared:
-            raise RegistryLoadError(
-                f"alias {alias_text!r} points at undeclared journal {target!r}",
-                line_no,
-            )
-        aliases[alias_text] = (key, target)
-    return JournalRegistry._build(canonical, aliases, exclusions)
+    return JournalRegistry._build(canonical, alias_entries, exclusions)
 
 
 def load_registry(source) -> JournalRegistry:

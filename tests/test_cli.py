@@ -518,6 +518,38 @@ class TestCorrelate:
         code = main(["correlate", "--counts", str(counts_path), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("options, flag", [
+        (["--overlap-k", "-1"], "--overlap-k"),
+        (["--overlap-m", "-2"], "--overlap-m"),
+        (["--labels", "-3"], "--labels"),
+        (["--overlap-k", "5", "--overlap-m", "3"], "--overlap-k 5"),
+    ], ids=["negative-k", "negative-m", "negative-labels", "k-above-m"])
+    def test_bad_overlap_or_label_option_is_usage_error(self, tmp_path, capsys, options, flag):
+        """Caught before any input is read: the inputs named do not exist,
+        and no output directory is made."""
+        out = tmp_path / "out"
+        code = main(
+            ["correlate", "--counts", str(tmp_path / "absent.json"),
+             "--jcr", str(tmp_path / "absent.csv"), *options, "--out", str(out)]
+        )
+        assert code == 1
+        assert f"wikicite: usage error: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options", [
+        ["--overlap-k", "11"],
+        ["--overlap-m", "11"],
+        ["--overlap-k", "3", "--overlap-m", "11"],
+    ], ids=["k", "m", "k-and-m"])
+    def test_overlap_past_the_joined_journals_is_data_error(self, tmp_path, capsys, options):
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path, n=10)
+        code = main(
+            ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path), *options,
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 3
+        assert "wikicite: insufficient data:" in capsys.readouterr().err
+
     def test_too_few_joined_rows(self, tmp_path):
         registry = load_default_registry()
         table = CountTable(
@@ -951,6 +983,64 @@ def test_manifest_config_per_command(tmp_path, monkeypatch):
         ["growth", "--table", "2006-01-01=c1/counts.json",
          "--table", "2007-01-01=c2/counts.json", "--out", "g"]
     ) == {"out": "g", "table": ["2006-01-01=c1/counts.json", "2007-01-01=c2/counts.json"]}
+
+
+# SHA-256 of every file the chain in test_chain_output_bytes_are_pinned writes.
+_CHAIN_DIGESTS = {
+    "fx/dump.xml": "a09c1a455830cefd5bff30664f5f99c3b0a507ba75bb743567824651e39c8307",
+    "fx/jcr.csv": "8f0b9c53e83ca350c24d636f333a782774f444528cd23a0d4abceab7d4d0f1a8",
+    "fx/manifest.json": "961da6ad8dd9a97ca017a0b5f2e686fe0384b55462cf8e2398c7eb27b9679fa9",
+    "fx/registry.tsv": "7132839620edd6dc71c7d7809fd672f54618df9e888a1d715d9811b144a6734a",
+    "fx/truth.json": "adf30bf1101bb51acfbe0a4f7822954be17bfe2d7ec7d20098cdb9b8b0d90667",
+    "ex/citations.jsonl": "ebb2e7fcc330dd6b2dd1382dae2df6962ede81d22a65408d0ba4c84dde099872",
+    "ex/extract_summary.json": "07a508e50780c44954bd9ea919029003fad2fb32aebb533039f1876f3fd20f51",
+    "ex/manifest.json": "f8f4fa5907794724e04d42708cb0ffb739be9949c9ca94c1dd123b01e65a0175",
+    "c1/counts.csv": "b2ba397628a7502c92c5f4950a50dfcbc56382cfd4df87c7d1662a905c52f794",
+    "c1/counts.json": "533da7f17d16c0d12f3ad21dccb8aae17894521d0521ab67154919310d1b07b3",
+    "c1/manifest.json": "2be9609167718d5f9e6e05c7e20c9efa4be3cb861c9f65bf6abc956b2023c970",
+    "c1/unknown.csv": "935cc249cb2ddfc934d973c208711526aef6fd0fdf95ea46ca94d8a280009eca",
+    "c2/counts.csv": "b2ba397628a7502c92c5f4950a50dfcbc56382cfd4df87c7d1662a905c52f794",
+    "c2/counts.json": "533da7f17d16c0d12f3ad21dccb8aae17894521d0521ab67154919310d1b07b3",
+    "c2/manifest.json": "1d58641f6510c57762ec9fca268da0a427e0b19352d1f36f24f5a8eb9f84a3b4",
+    "c2/near_miss.csv": "56f01f91d442eb80f926161c4ee9b45888c4c7ad6fcd9aa577b6bf4064912cf6",
+    "c2/unknown.csv": "935cc249cb2ddfc934d973c208711526aef6fd0fdf95ea46ca94d8a280009eca",
+    "r/correlations.csv": "48657084a0530685e0e01ec9c4de1af89691547c066fe5b2c3294d6c165c746a",
+    "r/join_audit.json": "9f579a6f884ec16cfc185f16ec6207d06e8a7c37a648bb91832e3f68524c3eda",
+    "r/manifest.json": "f6da52cf0c2c5957bddcc12748d634172efce7174c0baec378a648bdecf0bed4",
+    "r/overlap.csv": "2793071a2cbd5b606c20b855f4ab4129be2ec6b74bc26ffc2d2866d10c3f5bf6",
+    "r/scatter.csv": "e0ab185d82f6b1e963a4bfc8d7b20bb9d326fda5c98d4614a882b0df7bd913cc",
+    "g/growth.csv": "2bc96dbd8f02121bb91e721a55409c62ad4f0ce703e56000f44bfb9e8796b0d7",
+    "g/manifest.json": "c08780092c2ef82d6adc3aced4eb4eca27fe619b13d88f194b49ea180b2db11f",
+}
+
+
+def test_chain_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """The whole command chain, run with relative paths, writes exactly the
+    pinned bytes, manifests included. A deliberate change to any output
+    format (or to ``__version__``, which every manifest records) must
+    update ``_CHAIN_DIGESTS``."""
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ["gen-fixture", "--pages", "30", "--citations", "120", "--nested", "5",
+         "--decoys", "4", "--malformed", "3", "--no-journal", "4", "--seed", "11",
+         "--out", "fx"],
+        ["extract", "--dump", "fx/dump.xml", "--out", "ex"],
+        ["count", "--citations", "ex/citations.jsonl", "--registry", "fx/registry.tsv",
+         "--out", "c1"],
+        ["count", "--dump", "fx/dump.xml", "--near-miss", "--out", "c2"],
+        ["correlate", "--counts", "c1/counts.json", "--registry", "fx/registry.tsv",
+         "--jcr", "fx/jcr.csv", "--labels", "5", "--out", "r"],
+        ["growth", "--table", "2006-01-01=c1/counts.json",
+         "--table", "2007-01-01=c2/counts.json", "--out", "g"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert digests == _CHAIN_DIGESTS
 
 
 class TestOneReadPerInput:

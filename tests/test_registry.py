@@ -138,8 +138,9 @@ def test_duplicate_alias_key_names_line():
         "alias\tNat.\tNature",
         "alias\tnat.\tNature",
     ]
-    with pytest.raises(RegistryLoadError, match="line 3"):
+    with pytest.raises(RegistryLoadError) as raised:
         parse_registry(lines)
+    assert str(raised.value) == "line 3: duplicate alias key 'nat': 'nat.' and 'Nat.' (line 2)"
 
 
 def test_alias_to_undeclared_target_fails():
@@ -198,6 +199,83 @@ def test_fingerprint_tracks_content():
 def test_build_validates_alias_targets():
     with pytest.raises(RegistryLoadError):
         JournalRegistry.build(["Nature"], {"Sci": "Science"})
+
+
+@pytest.mark.parametrize(
+    "alias_line,message",
+    [
+        ("alias\tnature\tScience", "alias key 'nature' conflicts with existing mapping to 'Nature'"),
+        ("alias\t.\tNature", "alias '.' normalizes to nothing"),
+        ("alias\tSci\tSciences", "alias 'Sci' points at undeclared journal 'Sciences'"),
+        ("alias\tnature (London)\tNature", "duplicate alias key 'nature (london)'"),
+    ],
+    ids=["conflict", "empty-key", "undeclared", "duplicate"],
+)
+def test_every_alias_error_names_its_line(alias_line, message):
+    lines = [
+        "canonical\tNature",
+        "canonical\tScience",
+        "alias\tNature (London)\tNature",
+        "",
+        alias_line,
+    ]
+    with pytest.raises(RegistryLoadError, match=re.escape(message)) as raised:
+        parse_registry(lines)
+    assert str(raised.value).startswith("line 5: ")
+    assert raised.value.line_no == 5
+
+
+def test_build_rejects_a_duplicate_alias_key():
+    with pytest.raises(RegistryLoadError, match="duplicate alias key 'nat'"):
+        JournalRegistry.build(["Nature"], {"Nat.": "Nature", "nat.": "Nature"})
+
+
+def test_build_takes_exclusions_from_a_generator():
+    registry = JournalRegistry.build(["Nature"], {}, (x for x in ["Scientific American"]))
+    assert registry.exclusions == frozenset({"Scientific American"})
+    assert registry.canonical == frozenset({"Nature", "Scientific American"})
+    assert registry.resolve("Scientific American").kind is ResolutionKind.EXCLUDED
+
+
+# Few letters, so that names and alias texts often share a key; "." alone
+# normalizes to nothing. No leading or trailing space, which a file strips.
+_colliding_names = st.text(alphabet="aAb. &", min_size=1, max_size=4).filter(
+    lambda text: text == text.strip()
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sets(_colliding_names, max_size=4),
+    st.sets(_colliding_names, max_size=3),
+    st.lists(
+        st.tuples(_colliding_names, st.integers(min_value=0, max_value=7)),
+        max_size=5,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_a_file_and_build_obey_the_same_rules(canonical, exclusions, alias_picks, rng):
+    """The lines of a registry, in any order, and ``build`` of the same
+    sets either all fail or give equal registries that print alike."""
+    targets = sorted(canonical | exclusions) + ["Undeclared"]
+    aliases = {text: targets[pick % len(targets)] for text, pick in alias_picks}
+    lines = [f"canonical\t{name}" for name in sorted(canonical)]
+    lines += [f"exclude\t{name}" for name in sorted(exclusions)]
+    lines += [f"alias\t{text}\t{target}" for text, target in aliases.items()]
+    shuffled = list(lines)
+    rng.shuffle(shuffled)
+    try:
+        built = JournalRegistry.build(canonical, aliases, exclusions)
+    except RegistryLoadError:
+        for variant in (lines, shuffled):
+            with pytest.raises(RegistryLoadError):
+                parse_registry(variant)
+        return
+    for variant in (lines, shuffled):
+        parsed = parse_registry(variant)
+        assert parsed == built  # every field, the key map and fingerprint included
+        assert repr(parsed) == repr(built)
 
 
 def test_near_misses_shared_prefix(starter_registry):
