@@ -284,7 +284,11 @@ def write_counts_json(table: CountTable, fp: IO[str]) -> None:
 
 
 def read_counts_json(fp: IO[str]) -> CountTable:
-    return from_json_dict(json.load(fp))
+    try:
+        obj = json.load(fp)
+    except RecursionError:  # json's C scanner recurses once per nesting level
+        raise ValueError("corrupt count table: nested too deeply to parse") from None
+    return from_json_dict(obj)
 
 
 def _write_ranked_csv(header: list[str], tallies: dict[str, int], fp: IO[str]) -> None:

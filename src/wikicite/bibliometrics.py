@@ -16,7 +16,7 @@ import sys
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .aggregate import CountTable, RegistryMismatchError, write_csv
-from .registry import JournalRegistry, ResolutionKind
+from .registry import JournalRegistry, ResolutionKind, normalize_key
 
 SERIES_NAMES = ("total_citations", "impact_factor", "articles", "combined")
 
@@ -292,12 +292,28 @@ def join(
     """Inner join of wiki counts and external statistics on canonical names.
 
     Excluded journals never appear in the joined metrics; rows present on
-    only one side land in the audit lists instead of vanishing.
+    only one side land in the audit lists instead of vanishing. A table
+    that does not agree with ``registry`` raises RegistryMismatchError: one
+    tallied against another registry, one whose counts hold a name other
+    than a canonical, non-excluded one, or one whose unknown strings hold
+    one that the registry resolves.
     """
     if counts.registry_fingerprint != registry.fingerprint:
         raise RegistryMismatchError(
             "count table was built against a different registry"
         )
+    stray = counts.counts.keys() - (registry.canonical - registry.exclusions)
+    if stray:
+        name = next(name for name in counts.counts if name in stray)
+        raise RegistryMismatchError(
+            f"count table counts {name!r}, which is not a counted journal of the registry"
+        )
+    for raw in counts.unknown:
+        name = registry.key_to_name.get(normalize_key(raw))
+        if name is not None:
+            raise RegistryMismatchError(
+                f"count table lists {raw!r} as unknown, but the registry resolves it to {name!r}"
+            )
     seen_raw: set[str] = set()
     resolved: dict[str, JcrRecord] = {}
     jcr_only: list[str] = []

@@ -339,7 +339,10 @@ def _table_from_citations(path: str, registry: JournalRegistry) -> tuple[CountTa
     malformed_total, expected_records = 0, None
     summary_path = Path(path).with_name("extract_summary.json")
     if summary_path.exists():
-        summary, inputs["extract_summary"] = _read_input(str(summary_path), json.load)
+        try:
+            summary, inputs["extract_summary"] = _read_input(str(summary_path), json.load)
+        except RecursionError:  # json's C scanner recurses once per nesting level
+            raise ValueError(f"{summary_path}: nested too deeply to parse") from None
         malformed_total = _summary_count(summary, "malformed_total", summary_path)
         expected_records = _summary_count(summary, "records", summary_path)
     else:
@@ -446,7 +449,9 @@ def cmd_correlate(args) -> int:
         raise InsufficientDataError(str(exc)) from None
 
     overlap_k = args.overlap_k if args.overlap_k is not None else min(DEFAULT_OVERLAP_K, n_joined)
-    overlap_m = args.overlap_m if args.overlap_m is not None else min(DEFAULT_OVERLAP_M, n_joined)
+    overlap_m = args.overlap_m
+    if overlap_m is None:
+        overlap_m = min(max(DEFAULT_OVERLAP_M, overlap_k), n_joined)
     try:
         overlap = combined_top_overlap(joined.metrics, overlap_k, overlap_m)
     except ValueError as exc:

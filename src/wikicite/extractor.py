@@ -24,10 +24,9 @@ TEMPLATE_NAME = "cite journal"
 # Pipes and equals signs separate parts only outside nested templates and links.
 _NEST_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]")
 _COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
-# Where a comment or a nowiki tag may start, under _NOWIKI's case folding.
-_HIDDEN_OPENER = re.compile(r"<(?:!--|nowiki)", re.IGNORECASE)
-_NOWIKI = re.compile(
-    r"<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
+# A comment, a self-closing nowiki tag or a nowiki span, each open to the end.
+_HIDDEN = re.compile(
+    _COMMENT.pattern + r"|<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
     re.IGNORECASE | re.DOTALL,
 )
 # Up to the end of the last parameter key that, stripped and lowercased, is
@@ -82,51 +81,13 @@ class PageScan(NamedTuple):
     duplicate_params: int
 
 
-def _blank(text: str, spans: list[tuple[int, int]]) -> str:
-    """``text`` with each of the sorted, disjoint ``spans`` turned to spaces."""
-    pieces = []
-    pos = 0
-    for start, end in spans:
-        pieces.append(text[pos:start])
-        pieces.append(" " * (end - start))
-        pos = end
-    pieces.append(text[pos:])
-    return "".join(pieces)
-
-
 def mask_hidden_spans(text: str) -> str:
     """Blank out comments and nowiki spans, preserving every offset.
 
-    One regex pass finds every comment and nowiki opener. A comment runs to
-    the first ``-->`` after its ``<!--``, or to the end of the text, and hides
-    the openers inside it. ``_NOWIKI`` is then tried only at the openers
-    left, on the comment-blanked text, so a comment inside a nowiki span
-    cannot end it early."""
-    if "<" not in text:
-        return text
-    comments: list[tuple[int, int]] = []
-    openers: list[int] = []
-    hidden_to = 0
-    for match in _HIDDEN_OPENER.finditer(text):
-        start = match.start()
-        if start < hidden_to:
-            continue
-        if text.startswith("<!--", start):
-            end = text.find("-->", start + 4)
-            hidden_to = len(text) if end < 0 else end + 3
-            comments.append((start, hidden_to))
-        else:
-            openers.append(start)
-    masked = _blank(text, comments) if comments else text
-    nowikis: list[tuple[int, int]] = []
-    hidden_to = 0
-    for start in openers:
-        if start >= hidden_to:
-            match = _NOWIKI.match(masked, start)
-            if match:
-                hidden_to = match.end()
-                nowikis.append((start, hidden_to))
-    return _blank(masked, nowikis) if nowikis else masked
+    One regex pass takes the leftmost construct first, as MediaWiki's
+    preprocessor does: a comment hides any nowiki tag inside it, and a nowiki
+    span any comment opener. Either runs unclosed to the end of the text."""
+    return _HIDDEN.sub(lambda match: " " * (match.end() - match.start()), text)
 
 
 def normalize_template_name(name: str) -> str:
@@ -226,6 +187,14 @@ def _split_top_level(segment: str) -> list[tuple[int, int, int]]:
     return parts
 
 
+def _link_text(match: re.Match) -> str:
+    """A wiki link's display text, or its target when it has none."""
+    display = match.group(2)
+    if display is not None and display.strip():
+        return display
+    return match.group(1)
+
+
 def clean_journal_value(value: str) -> str:
     """Reduce a raw journal value to plain text.
 
@@ -236,14 +205,7 @@ def clean_journal_value(value: str) -> str:
     if "<" not in value and "[" not in value and "'" not in value:
         return value.strip()
     value = _COMMENT.sub("", value)
-
-    def link_text(match: re.Match) -> str:
-        display = match.group(2)
-        if display is not None and display.strip():
-            return display
-        return match.group(1)
-
-    value = _WIKILINK.sub(link_text, value)
+    value = _WIKILINK.sub(_link_text, value)
     value = _QUOTE_MARKUP.sub("", value)
     return value.strip()
 
@@ -420,7 +382,8 @@ def _record_from_json(obj) -> CitationRecord:
 
 def read_jsonl(fp: IO[str]) -> Iterator[CitationRecord]:
     """Parse records written by :func:`write_jsonl`; a line that it could
-    not have written raises ValueError naming the line.
+    not have written, one nested too deeply for json's recursive scanner
+    included, raises ValueError naming the line.
 
     Each stripped line is decoded in one ``raw_decode`` call, which must
     consume all of it: that is ``json.loads`` without its whitespace scans.
@@ -434,6 +397,6 @@ def read_jsonl(fp: IO[str]) -> Iterator[CitationRecord]:
             if end != len(line):
                 raise ValueError(f"extra data at column {end + 1}")
             record = _record_from_json(obj)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
             raise ValueError(f"bad citation record on line {line_no}: {exc}") from None
         yield record

@@ -11,8 +11,8 @@ implies canonical membership. A file and :meth:`JournalRegistry.build` obey
 the same rules: every name and alias text has a non-empty key (see
 :func:`normalize_key`), no two canonical names share a key, every alias
 points at a declared journal, no two aliases share a key, and an alias key
-that is a canonical name's key points at that name. Every alias error
-names its line.
+that is a canonical name's key points at that name. In a file, each
+error names the line or lines it is about.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ class RegistryLoadError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+def _line_ref(line_no: int | None) -> str:
+    """`` (line N)`` for an error that names a second line, if known."""
+    return "" if line_no is None else f" (line {line_no})"
 
 
 def normalize_key(raw: str) -> str:
@@ -88,34 +93,45 @@ class JournalRegistry(NamedTuple):
 
         ``aliases`` maps alias text (not yet normalized) to canonical names.
         """
+        exclusion_set = frozenset(exclusions)
+        names = [(name, None) for name in (*canonical, *exclusion_set)]
         entries = [(text, None, target) for text, target in (aliases or {}).items()]
-        return cls._build(canonical, entries, exclusions)
+        return cls._build(names, entries, exclusion_set)
 
     @classmethod
     def _build(
         cls,
-        canonical: Iterable[str],
+        name_entries: Iterable[tuple[str, int | None]],
         alias_entries: Iterable[tuple[str, int | None, str]],
         exclusions: Iterable[str],
     ) -> "JournalRegistry":
-        """The registry of ``canonical``, ``exclusions`` and ``(alias_text,
-        line_no, target)`` alias entries, each rule of the module docstring
-        checked here and only here. An alias error names its ``line_no``
-        unless that is None."""
+        """The registry of ``(name, line_no)`` entries for every canonical
+        and excluded name, ``(alias_text, line_no, target)`` alias entries
+        and the ``exclusions`` among the names, each rule of the module
+        docstring checked here and only here. An error names the line of
+        each entry it is about unless that is None; a repeated name keeps
+        its first line."""
+        name_lines: dict[str, int | None] = {}
+        for name, line_no in name_entries:
+            name_lines.setdefault(name, line_no)
         # Each set, map and so the repr is built in sorted order, whatever
         # the order of the lines or the arguments.
         exclusion_set = frozenset(sorted(exclusions))
-        names = sorted(exclusion_set.union(canonical))
+        names = sorted(name_lines)
         canonical_set = frozenset(names)
         key_to_name: dict[str, str] = {}
         for name in names:
             key = normalize_key(name)
             if not key:
-                raise RegistryLoadError(f"canonical name {name!r} normalizes to nothing")
+                raise RegistryLoadError(
+                    f"canonical name {name!r} normalizes to nothing", name_lines[name]
+                )
             existing = key_to_name.setdefault(key, name)
             if existing != name:
                 raise RegistryLoadError(
-                    f"canonical names {existing!r} and {name!r} share the key {key!r}"
+                    f"canonical names {existing!r}{_line_ref(name_lines[existing])} and "
+                    f"{name!r} share the key {key!r}",
+                    name_lines[name],
                 )
         alias_map: dict[str, str] = {}
         declared: dict[str, tuple[str, int | None]] = {}
@@ -129,9 +145,9 @@ class JournalRegistry(NamedTuple):
                 raise RegistryLoadError(f"alias {alias_text!r} normalizes to nothing", line_no)
             if key in declared:
                 first_text, first_line = declared[key]
-                where = "" if first_line is None else f" (line {first_line})"
                 raise RegistryLoadError(
-                    f"duplicate alias key {key!r}: {alias_text!r} and {first_text!r}{where}",
+                    f"duplicate alias key {key!r}: {alias_text!r} and "
+                    f"{first_text!r}{_line_ref(first_line)}",
                     line_no,
                 )
             existing = key_to_name.setdefault(key, target)
@@ -182,7 +198,7 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
     """Parse registry lines. Only each line's syntax is checked here;
     :meth:`JournalRegistry._build` checks every other rule, so a file and
     :meth:`JournalRegistry.build` obey the same ones."""
-    canonical: set[str] = set()
+    name_entries: list[tuple[str, int]] = []
     exclusions: set[str] = set()
     alias_entries: list[tuple[str, int, str]] = []
     for line_no, line in enumerate(lines, start=1):
@@ -200,10 +216,12 @@ def parse_registry(lines: Iterable[str]) -> JournalRegistry:
         elif kind in ("canonical", "exclude"):
             if len(fields) != 2 or not fields[1]:
                 raise RegistryLoadError(f"{kind} line needs one name field", line_no)
-            (canonical if kind == "canonical" else exclusions).add(fields[1])
+            name_entries.append((fields[1], line_no))
+            if kind == "exclude":
+                exclusions.add(fields[1])
         else:
             raise RegistryLoadError(f"unknown line kind {kind!r}", line_no)
-    return JournalRegistry._build(canonical, alias_entries, exclusions)
+    return JournalRegistry._build(name_entries, alias_entries, exclusions)
 
 
 def load_registry(source) -> JournalRegistry:

@@ -9,10 +9,10 @@ The normalizer oracles collapse whitespace runs with a regex, as the
 key and template-name normalizers did before they used ``str.split``.
 The journal cleaner oracle always runs its three regexes, and the tally
 oracle resolves every record's journal, as both did before they took
-shortcuts for plain values and repeated strings. The masking oracle blanks
-comments and then nowiki spans with two ``re.sub`` passes over the whole
-text, with its own copies of the patterns, as the masker did before it
-found both kinds of opener in one pass.
+shortcuts for plain values and repeated strings. The masking oracle walks
+the text one character at a time and hides whichever comment or nowiki
+construct opens first, as MediaWiki's preprocessor reads them; it shares no
+pattern with the masker's single regex pass.
 """
 
 from __future__ import annotations
@@ -37,20 +37,82 @@ from wikicite.registry import ResolutionKind, normalize_key
 
 _WS_RUN = re.compile(r"\s+")
 _COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
-_NOWIKI = re.compile(
-    r"<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
-    re.IGNORECASE | re.DOTALL,
-)
+# The characters that case-insensitive regex matching takes for each letter
+# of "nowiki": for "i" also U+0130 (capital I with dot above) and U+0131
+# (dotless small i), for "k" also U+212A (KELVIN SIGN).
+_TAG_LETTERS = {
+    "n": "nN",
+    "o": "oO",
+    "w": "wW",
+    "i": "iI\u0130\u0131",
+    "k": "kK\u212a",
+}
 
 
-def mask_hidden_spans_by_regex(text: str) -> str:
-    """Blank out comments, then nowiki spans in what is left, preserving
-    every offset."""
+def _nowiki_name_at(text: str, i: int) -> bool:
+    """Whether ``text`` spells ``nowiki`` from ``i`` on, in any case."""
+    name = text[i : i + 6]
+    return len(name) == 6 and all(c in _TAG_LETTERS[letter] for c, letter in zip(name, "nowiki"))
 
-    def blank(match: re.Match) -> str:
-        return " " * (match.end() - match.start())
 
-    return _NOWIKI.sub(blank, _COMMENT.sub(blank, text))
+def _skip_spaces(text: str, i: int) -> int:
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
+
+
+def _hidden_end(text: str, i: int) -> int:
+    """Where the comment or nowiki construct starting at ``i`` ends, or -1
+    when none starts there."""
+    n = len(text)
+    if text[i] != "<":
+        return -1
+    if text[i + 1 : i + 4] == "!--":
+        j = i + 4
+        while j < n:
+            if text[j : j + 3] == "-->":
+                return j + 3
+            j += 1
+        return n
+    if not _nowiki_name_at(text, i + 1):
+        return -1
+    j = _skip_spaces(text, i + 7)
+    if j < n and text[j] == "/":
+        j = _skip_spaces(text, j + 1)
+        if j < n and text[j] == ">":
+            return j + 1  # self-closing
+    j = i + 7
+    if j < n and text[j].isspace():
+        while j < n and text[j] != ">":
+            j += 1  # attributes
+    if j == n or text[j] != ">":
+        return -1
+    j += 1
+    while j < n:
+        if text[j : j + 2] == "</" and _nowiki_name_at(text, j + 2):
+            close = _skip_spaces(text, j + 8)
+            if close < n and text[close] == ">":
+                return close + 1
+        j += 1
+    return n
+
+
+def mask_hidden_spans_by_walk(text: str) -> str:
+    """Blank out comments and nowiki spans, preserving every offset, by
+    walking the text one character at a time. Whichever construct opens
+    first hides everything up to its end, so a nowiki tag inside a comment,
+    or a comment opener inside a nowiki span, is text."""
+    out = []
+    i = 0
+    while i < len(text):
+        end = _hidden_end(text, i)
+        if end < 0:
+            out.append(text[i])
+            i += 1
+        else:
+            out.append(" " * (end - i))
+            i = end
+    return "".join(out)
 
 
 def normalize_key_by_regex(raw: str) -> str:
@@ -251,7 +313,7 @@ def split_by_tokens(segment: str) -> list[tuple[int, int, int]]:
 def scan_page_by_tokens(page: WikiPage) -> PageScan:
     """The page scan that splits every template before checking its name."""
     text = page.text
-    masked = mask_hidden_spans_by_regex(text)
+    masked = mask_hidden_spans_by_walk(text)
     spans, malformed = template_spans_by_tokens(masked)
     records: list[CitationRecord] = []
     duplicates = 0

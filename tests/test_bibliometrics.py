@@ -121,6 +121,24 @@ class TestJoin:
         with pytest.raises(RegistryMismatchError):
             join(table, [], starter_registry)
 
+    @pytest.mark.parametrize(
+        "counts, unknown, message",
+        [
+            ({"Nature": 1, "Totally Not A Journal": 2}, {}, "counts 'Totally Not A Journal'"),
+            ({"Nature": 1, "Scientific American": 2}, {}, "counts 'Scientific American'"),
+            ({"Nature": 1}, {"Science": 2}, "lists 'Science' as unknown"),
+            ({"Nature": 1}, {"the nature (JOURNAL)": 2}, "resolves it to 'Nature'"),
+            ({"Nature": 1}, {"Sci. Am.": 2}, "resolves it to 'Scientific American'"),
+        ],
+        ids=["not-a-name", "excluded-name", "canonical-unknown", "alias-unknown", "excluded-unknown"],
+    )
+    def test_table_must_agree_with_registry(self, starter_registry, counts, unknown, message):
+        table = make_table(counts, starter_registry.fingerprint)._replace(
+            unknown=unknown, template_total=sum(counts.values()) + sum(unknown.values())
+        )
+        with pytest.raises(RegistryMismatchError, match=message):
+            join(table, [jcr("Nature")], starter_registry)
+
     def test_metrics_sorted_by_wiki_count_then_name(self, starter_registry):
         table = make_table(
             {"Nature": 5, "Science": 5, "Icarus": 9}, starter_registry.fingerprint

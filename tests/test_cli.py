@@ -440,9 +440,10 @@ class TestCount:
         assert "Nature Genetics" in content
 
 
-def _write_counts_and_jcr(tmp_path, n=10):
-    """Synthetic pair of files over starter-registry journals."""
-    registry = load_default_registry()
+def _write_counts_and_jcr(tmp_path, n=10, registry=None):
+    """Synthetic pair of files over the first ``n`` journals of ``registry``
+    (default: the starter registry)."""
+    registry = registry or load_default_registry()
     names = sorted(registry.canonical - registry.exclusions)[:n]
     counts = {name: 5 * (i + 1) + (i % 3) for i, name in enumerate(names)}
     table = CountTable(
@@ -549,6 +550,49 @@ class TestCorrelate:
         )
         assert code == 3
         assert "wikicite: insufficient data:" in capsys.readouterr().err
+
+    def test_overlap_m_defaults_to_at_least_k(self, tmp_path):
+        """With no ``--overlap-m``, m is 19 or k if larger, capped at the
+        number of journals joined."""
+        registry_path = tmp_path / "registry.tsv"
+        registry_path.write_text(
+            "".join(f"canonical\tJournal {i:03d}\n" for i in range(300)), encoding="utf-8"
+        )
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(
+            tmp_path, n=300, registry=load_registry(registry_path)
+        )
+        args = ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
+                "--registry", str(registry_path), "--sweep", "2..3"]
+        assert main([*args, "--overlap-k", "25", "--out", str(tmp_path / "k25")]) == 0
+        k, m, _ = read(tmp_path / "k25" / "overlap.csv").splitlines()[1].split(",")
+        assert (k, m) == ("25", "25")
+        assert main([*args, "--out", str(tmp_path / "default")]) == 0
+        k, m, _ = read(tmp_path / "default" / "overlap.csv").splitlines()[1].split(",")
+        assert (k, m) == ("10", "19")
+        assert main([*args, "--overlap-k", "301", "--out", str(tmp_path / "k301")]) == 3
+
+    @pytest.mark.parametrize("edit", ["rename-count", "count-to-unknown"])
+    def test_counts_that_disagree_with_the_registry_exit_2(self, tmp_path, capsys, edit):
+        """Edits that keep the table self-consistent and its fingerprint
+        intact: a counts key renamed, or a canonical count moved into the
+        unknown strings under its canonical name."""
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+        obj = json.loads(read(counts_path))
+        name = sorted(obj["counts"])[0]
+        count = obj["counts"].pop(name)
+        if edit == "rename-count":
+            obj["counts"]["Totally Not A Journal"] = count
+        else:
+            obj["unknown"][name] = count
+        counts_path.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path), "--out", str(out)]
+        )
+        assert code == 2
+        bad = "Totally Not A Journal" if edit == "rename-count" else name
+        assert f"{bad!r}" in capsys.readouterr().err
+        assert not (out / "correlations.csv").exists()
 
     def test_too_few_joined_rows(self, tmp_path):
         registry = load_default_registry()
@@ -1317,6 +1361,34 @@ def test_commands_call_rebound_names(small_dump, tmp_path, monkeypatch):
     ) == 0
     assert called.count("topn_sweep") == 4
     assert called.count("ProcessPoolExecutor") == 1
+
+
+@pytest.mark.parametrize("command, file, text, message", [
+    ("count", "citations.jsonl", '{"a":' * 100_000, "bad citation record on line 1: maximum recursion"),
+    ("count", "extract_summary.json", "[" * 3_000 + "]" * 3_000, "extract_summary.json: nested too deeply"),
+    ("correlate", "counts.json", "[" * 3_000 + "]" * 3_000, "count table: nested too deeply"),
+    ("growth", "counts.json", "[" * 3_000 + "]" * 3_000, "count table: nested too deeply"),
+], ids=["count-citations", "count-summary", "correlate-counts", "growth"])
+def test_deeply_nested_json_exits_2_in_a_fresh_interpreter(tmp_path, command, file, text, message):
+    """json's C scanner recurses once per nesting level; a file nested past
+    the recursion limit is an input error, not a RecursionError."""
+    _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+    citations = tmp_path / "citations.jsonl"
+    citations.write_text("", encoding="utf-8")
+    (tmp_path / file).write_text(text, encoding="utf-8")
+    argv = {
+        "count": ["count", "--citations", str(citations)],
+        "correlate": ["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path)],
+        "growth": ["growth", "--table", f"2007-01-01={counts_path}"],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-m", "wikicite.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+    )
+    assert result.returncode == 2, result.stderr
+    assert "wikicite: input error:" in result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("bad", ["citations", "dump"])

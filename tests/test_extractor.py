@@ -26,7 +26,7 @@ from wikicite.extractor import (
 
 from oracles import (
     clean_journal_value_by_regex,
-    mask_hidden_spans_by_regex,
+    mask_hidden_spans_by_walk,
     scan_page_by_tokens,
     split_by_tokens,
     template_spans_by_tokens,
@@ -75,6 +75,20 @@ def test_comment_wrapped_template_ignored():
 
 def test_nowiki_span_ignored():
     assert scan_page(page("<nowiki>{{cite journal|journal=Fake}}</nowiki>")).records == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the nowiki span opens first, so the comment opener inside it is text
+        "<nowiki><!--</nowiki> {{cite journal|journal=Nature}} -->",
+        "<nowiki> a <!-- </nowiki> --> {{cite journal|journal=Nature}}",
+        # the comment opens first, so the nowiki tag inside it is hidden
+        "<!-- <nowiki> --> {{cite journal|journal=Nature}} </nowiki>",
+    ],
+)
+def test_first_opened_of_comment_and_nowiki_wins(text):
+    assert [r.journal_raw for r in scan_page(page(text)).records] == ["Nature"]
 
 
 def test_unclosed_comment_hides_rest_of_page():
@@ -408,6 +422,8 @@ _scan_fragments = st.sampled_from(
         "<!-- {{cite journal|journal=Hidden}} -->",
         "<nowiki>",
         "</nowiki>",
+        "<nowiki><!--",
+        "--></nowiki>",
         "''",
         "Nature",
     ]
@@ -445,8 +461,9 @@ def test_math_prose_with_lone_braces_scans_like_oracle():
 
 
 # Comments, nowiki tags in every form the masker accepts, near misses (a
-# longer tag name, an unterminated close, a split tag), a KELVIN SIGN that
-# case-insensitive matching takes for "k", nesting each way, and filler.
+# longer tag name, an unterminated close, a split tag), the KELVIN SIGN, the
+# dotted capital I and the dotless i that case-insensitive matching takes for
+# "k" and "i", nesting each way, and filler.
 _mask_fragments = st.sampled_from(
     [
         "<!--",
@@ -464,6 +481,7 @@ _mask_fragments = st.sampled_from(
         "<now",
         "iki>",
         "<nowi\u212ai>",
+        "<NOW\u0130K\u0131>",
         "<nowiki>a<!-- b -->c</nowiki>",
         "<!-- a<nowiki>b -->",
         "<",
@@ -485,8 +503,8 @@ _mask_fragments = st.sampled_from(
 @example("<!-- <nowiki> --> {{x}} </nowiki>")
 @example("</nowiki<!-- -->> <nowiki/<!-- -->>")
 @example("<nowi\u212ai>{{x}}")
-def test_mask_matches_two_pass_regex_oracle(text):
-    assert mask_hidden_spans(text) == mask_hidden_spans_by_regex(text)
+def test_mask_matches_walk_oracle(text):
+    assert mask_hidden_spans(text) == mask_hidden_spans_by_walk(text)
 
 
 # Non-ASCII text for the journal-only scan's key search: letters that look
@@ -521,6 +539,7 @@ _non_ascii_fragments = st.sampled_from(
 @example("{{cite\u00a0journal|journal=N}} {{Cite\u3000journal|journal=M}} {{Cite Journal|journal=O}}")
 @example("{{cite journal|journal=N <!-- {{cite journal|journal=H}}")
 @example("{{cite journal|journal=N <nowiki>{{cite journal|journal=H}}")
+@example("<nowiki><!--</nowiki>{{cite journal|journal=N}}--></nowiki> {{cite journal|journal=H}}")
 @example("{{cite journal {{x}}|journal=N}} {{cite journal [[l]]|journal=M}}")
 @example("{{cite journal|a|journal=N|b| Journal =M|1=c|journal=O}}")
 def test_scan_page_matches_split_every_template_oracle(text):

@@ -158,6 +158,33 @@ def test_canonical_key_collision_fails():
         parse_registry(["canonical\tThe Lancet", "canonical\tLancet"])
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["canonical\tNature", "canonical\t."], "line 2: canonical name '.' normalizes to nothing"),
+        (["canonical\tNature", "exclude\t."], "line 2: canonical name '.' normalizes to nothing"),
+        (
+            ["canonical\tThe Lancet", "canonical\tLancet"],
+            "line 1: canonical names 'Lancet' (line 2) and 'The Lancet' share the key 'lancet'",
+        ),
+        (
+            ["canonical\tLancet", "", "exclude\tThe Lancet", "canonical\tThe Lancet"],
+            "line 3: canonical names 'Lancet' (line 1) and 'The Lancet' share the key 'lancet'",
+        ),
+    ],
+    ids=["empty-key", "empty-excluded-key", "shared-key", "shared-key-first-line"],
+)
+def test_every_canonical_error_names_its_lines(lines, message):
+    with pytest.raises(RegistryLoadError) as raised:
+        parse_registry(lines)
+    assert str(raised.value) == message
+
+
+def test_repeated_canonical_line_is_legal():
+    registry = parse_registry(["canonical\tNature", "exclude\tNature", "canonical\tNature"])
+    assert registry == JournalRegistry.build(["Nature", "Nature"], {}, ["Nature"])
+
+
 def test_alias_conflicting_with_canonical_key_fails():
     lines = ["canonical\tNature", "canonical\tScience", "alias\tnature\tScience"]
     with pytest.raises(RegistryLoadError):
