@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         json.dumps(
             {
                 "bytes": source.bytes_emitted,
-                "pages": reader.pages_yielded,
+                "pages": reader.pages_seen - reader.pages_skipped,
                 "citations": table.template_total,
                 "elapsed_s": elapsed,
                 "max_rss_kb": _peak_rss_kb(),

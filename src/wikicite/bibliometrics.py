@@ -378,10 +378,6 @@ def _series_getter(series_name: str):
     return getter
 
 
-def series_values(metrics: JournalMetrics, series_name: str) -> float:
-    return _series_getter(series_name)(metrics)
-
-
 def topn_sweep(
     metrics: Sequence[JournalMetrics],
     series_name: str,

@@ -3,10 +3,11 @@
 Every stage reads and writes plain files so long runs can be resumed at
 stage boundaries, and every run drops a manifest.json recording the exact
 configuration, the files written and each input's digest. Each input is
-read once, and its digest is taken from exactly the bytes parsed. A file
-appears under its final name only once complete (it is written as
-``<name>.partial`` and renamed), so a failed run never leaves a partial
-stage file for the next stage to accept. Outputs are byte-identical across
+read once, its digest is taken from exactly the bytes parsed, and an error
+in it starts with its path. A file appears under its final name only once
+complete (it is written as ``<name>.partial`` and renamed), so a failed run
+never leaves a partial stage file for the next stage to accept, and
+``--out`` is made on the first write. Outputs are byte-identical across
 repeated runs on identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error,
@@ -146,24 +147,6 @@ class _HashingReader(io.RawIOBase):
         }
 
 
-def _read_input(path_arg: str, parse, stream=None, text: bool = True) -> tuple:
-    """``parse`` of one input, given as its ``_HashingReader`` or, for
-    ``text``, decoded as ``open(path, encoding="utf-8")`` decodes it; and
-    the input's manifest entry, digested from the same bytes."""
-    with _HashingReader(path_arg, stream) as reader:
-        source = io.TextIOWrapper(reader, encoding="utf-8") if text else reader
-        return parse(source), reader.manifest_entry()
-
-
-def _load_registry_arg(registry_arg: str | None) -> tuple[JournalRegistry, dict]:
-    """The registry, a file's or the built-in's, and its manifest entry."""
-    # Parsed through load_registry, which perfbench's registry.load probe times.
-    if registry_arg is not None:
-        return _read_input(registry_arg, load_registry, text=False)
-    builtin = io.BytesIO(default_registry_bytes())
-    return _read_input("<builtin starter registry>", load_registry, builtin, text=False)
-
-
 def _parse_namespaces(spec: str) -> set[int] | None:
     if spec.strip().lower() == "all":
         return None
@@ -174,16 +157,6 @@ def _parse_namespaces(spec: str) -> set[int] | None:
     if not namespaces:
         raise UsageError(f"bad --namespaces value {spec!r}")
     return namespaces
-
-
-def _dump_pages(args) -> tuple[DumpReader, Iterable[WikiPage], _HashingReader]:
-    """The ``--dump`` reader, its pages in the ``--namespaces`` kept, and
-    the stream that digests the dump as it is read, for the caller to close."""
-    namespaces = _parse_namespaces(args.namespaces)
-    stream = _HashingReader(args.dump, sys.stdin.buffer if args.dump == "-" else None)
-    reader = DumpReader(stream)
-    pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
-    return reader, pages, stream
 
 
 def parse_sweep(spec: str, limit: int) -> list[int]:
@@ -241,22 +214,58 @@ def _scan_stream(
             yield window.popleft().result()
 
 
-# output plumbing ----------------------------------------------------
+# a command's files --------------------------------------------------
 
 
-class _Outputs:
-    """One stage's ``--out`` directory. Each file is written as
-    ``<name>.partial`` and renamed to ``name`` only once complete, so a
-    failed run leaves no partial file under a final name, and the manifest
-    lists exactly the files written."""
+class _Run:
+    """One command's files. Each input is read once, digested from the
+    bytes parsed and recorded for the manifest, and an error in it names
+    its path. Outputs go to the ``--out`` directory, made on the first
+    write; each is written as ``<name>.partial`` and renamed to ``name``
+    only once complete, so a failed run leaves no partial file under a
+    final name, and the manifest lists exactly the files written."""
 
     def __init__(self, out_arg: str):
         self.dir = Path(out_arg)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.inputs: dict[str, dict] = {}
         self.names: list[str] = []
+
+    def read(self, key: str, path: str, parse, stream=None, text: bool = True):
+        """``parse`` of the input ``path``, given as its ``_HashingReader``
+        or, for ``text``, decoded as ``open(path, encoding="utf-8")``
+        decodes it. Its manifest entry, digested from the same bytes, is
+        recorded under ``key``; an error in it is re-raised naming ``path``."""
+        try:
+            with _HashingReader(path, stream) as reader:
+                source = io.TextIOWrapper(reader, encoding="utf-8") if text else reader
+                value = parse(source)
+                self.inputs[key] = reader.manifest_entry()
+        except RecursionError:  # json's C scanner recurses once per nesting level
+            raise ValueError(f"{path}: nested too deeply to parse") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        return value
+
+    @contextmanager
+    def dump(self, args) -> Iterator[tuple[DumpReader, Iterable[WikiPage]]]:
+        """The ``--dump`` reader and its pages in the ``--namespaces`` kept.
+        The dump's manifest entry is recorded when the block ends, and a
+        DumpParseError raised in it is given the dump's path."""
+        namespaces = _parse_namespaces(args.namespaces)
+        stdin = sys.stdin.buffer if args.dump == "-" else None
+        with _HashingReader(args.dump, stdin) as stream:
+            reader = DumpReader(stream)
+            pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
+            try:
+                yield reader, pages
+            except DumpParseError as exc:
+                exc.args = (f"{args.dump}: {exc}",)
+                raise
+            self.inputs["dump"] = stream.manifest_entry()
 
     @contextmanager
     def open(self, name: str) -> Iterator[IO[str]]:
+        self.dir.mkdir(parents=True, exist_ok=True)
         partial = self.dir / f"{name}.partial"
         try:
             with open(partial, "w", encoding="utf-8") as fp:
@@ -275,7 +284,7 @@ class _Outputs:
         with self.open(name) as fp:
             write_csv(header, rows, fp)
 
-    def manifest(self, args, inputs: dict) -> None:
+    def manifest(self, args) -> None:
         """The run's configuration is every parsed option of its subcommand."""
         config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
         manifest = {
@@ -283,30 +292,35 @@ class _Outputs:
             "version": __version__,
             "command": args.command,
             "config": config,
-            "inputs": inputs,
+            "inputs": self.inputs,
             "outputs": sorted(self.names),
         }
         self.json("manifest.json", manifest)
 
 
+def _load_registry_arg(run: _Run, registry_arg: str | None) -> JournalRegistry:
+    """The registry, a file's or the built-in's, recorded as ``registry``."""
+    # Parsed through load_registry, which perfbench's registry.load probe times.
+    if registry_arg is not None:
+        return run.read("registry", registry_arg, load_registry, text=False)
+    builtin = io.BytesIO(default_registry_bytes())
+    return run.read("registry", "<builtin starter registry>", load_registry, builtin, text=False)
+
+
 # subcommands --------------------------------------------------------
 
 
-def cmd_extract(args) -> int:
-    out = _Outputs(args.out)
-    reader, pages, dump_stream = _dump_pages(args)
-
+def cmd_extract(args, run: _Run) -> None:
     records_total = 0
     malformed_total = 0
     duplicate_params = 0
     pages_scanned = 0
-    with dump_stream, out.open("citations.jsonl") as fp:
+    with run.dump(args) as (reader, pages), run.open("citations.jsonl") as fp:
         for scan in _scan_stream(pages, args.jobs):
             pages_scanned += 1
             malformed_total += scan.malformed
             duplicate_params += scan.duplicate_params
             records_total += write_jsonl(scan.records, fp)
-        inputs = {"dump": dump_stream.manifest_entry()}
 
     summary = {
         "pages_seen": reader.pages_seen,
@@ -316,88 +330,82 @@ def cmd_extract(args) -> int:
         "malformed_total": malformed_total,
         "duplicate_params": duplicate_params,
     }
-    out.json("extract_summary.json", summary)
-    out.manifest(args, inputs)
+    run.json("extract_summary.json", summary)
     print(
         f"extract: pages={pages_scanned} records={records_total} "
         f"malformed={malformed_total} skipped={reader.pages_skipped}",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
-def _summary_count(summary, key: str, summary_path: Path) -> int:
-    value = summary.get(key) if isinstance(summary, dict) else None
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{summary_path}: {key} must be a non-negative integer")
-    return value
+def _read_summary(fp: IO[str]) -> tuple[int, int]:
+    """``malformed_total`` and ``records`` of an ``extract_summary.json``."""
+    summary = json.load(fp)
+    values = []
+    for key in ("malformed_total", "records"):
+        value = summary.get(key) if isinstance(summary, dict) else None
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{key} must be a non-negative integer")
+        values.append(value)
+    return values[0], values[1]
 
 
-def _table_from_citations(path: str, registry: JournalRegistry) -> tuple[CountTable, dict]:
+def _table_from_citations(run: _Run, path: str, registry: JournalRegistry) -> CountTable:
     """Tally an extract run's records, checked against its summary."""
-    inputs: dict = {}
     malformed_total, expected_records = 0, None
     summary_path = Path(path).with_name("extract_summary.json")
     if summary_path.exists():
-        try:
-            summary, inputs["extract_summary"] = _read_input(str(summary_path), json.load)
-        except RecursionError:  # json's C scanner recurses once per nesting level
-            raise ValueError(f"{summary_path}: nested too deeply to parse") from None
-        malformed_total = _summary_count(summary, "malformed_total", summary_path)
-        expected_records = _summary_count(summary, "records", summary_path)
+        malformed_total, expected_records = run.read(
+            "extract_summary", str(summary_path), _read_summary
+        )
     else:
         print(
             "count: no extract_summary.json next to the citations file; "
             "malformed_total set to 0",
             file=sys.stderr,
         )
-    table, inputs["citations"] = _read_input(
-        path, lambda fp: tally(read_jsonl(fp), registry, malformed_total=malformed_total)
+    table = run.read(
+        "citations",
+        path,
+        lambda fp: tally(read_jsonl(fp), registry, malformed_total=malformed_total),
     )
     if expected_records is not None and table.template_total != expected_records:
         raise ValueError(
             f"{path} holds {table.template_total} records but "
             f"{summary_path} says {expected_records}: truncated or stale"
         )
-    return table, inputs
+    return table
 
 
-def _table_from_dump(args, registry: JournalRegistry) -> tuple[CountTable, dict]:
-    _, pages, dump_stream = _dump_pages(args)
-    with dump_stream:
-        table = tally_scans(_scan_stream(pages, args.jobs, journal_only=True), registry)
-        return table, {"dump": dump_stream.manifest_entry()}
+def _table_from_dump(run: _Run, args, registry: JournalRegistry) -> CountTable:
+    with run.dump(args) as (_, pages):
+        return tally_scans(_scan_stream(pages, args.jobs, journal_only=True), registry)
 
 
-def _write_count_outputs(out: _Outputs, table: CountTable) -> None:
-    with out.open("counts.csv") as fp:
+def _write_count_outputs(run: _Run, table: CountTable) -> None:
+    with run.open("counts.csv") as fp:
         write_counts_csv(table, fp)
-    with out.open("counts.json") as fp:
+    with run.open("counts.json") as fp:
         write_counts_json(table, fp)
-    with out.open("unknown.csv") as fp:
+    with run.open("unknown.csv") as fp:
         write_unknown_csv(table, fp)
 
 
-def cmd_count(args) -> int:
-    out = _Outputs(args.out)
-    registry, registry_entry = _load_registry_arg(args.registry)
+def cmd_count(args, run: _Run) -> None:
+    registry = _load_registry_arg(run, args.registry)
     if args.citations is not None:
-        table, inputs = _table_from_citations(args.citations, registry)
+        table = _table_from_citations(run, args.citations, registry)
     else:
-        table, inputs = _table_from_dump(args, registry)
-    inputs["registry"] = registry_entry
-    _write_count_outputs(out, table)
+        table = _table_from_dump(run, args, registry)
+    _write_count_outputs(run, table)
     if args.near_miss:
-        out.csv("near_miss.csv", ["unknown", "candidate"], near_misses(table.unknown, registry))
-
-    out.manifest(args, inputs)
+        run.csv("near_miss.csv", ["unknown", "candidate"], near_misses(table.unknown, registry))
     print(
         f"count: templates={table.template_total} journals={len(table.counts)} "
         f"excluded={table.excluded_count} unknown={len(table.unknown)} "
         f"malformed={table.malformed_total}",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
 def _check_correlate_options(args) -> None:
@@ -417,20 +425,16 @@ def _check_correlate_options(args) -> None:
         )
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args, run: _Run) -> None:
     _check_correlate_options(args)
     _load("wikicite.bibliometrics")
-    out = _Outputs(args.out)
-    registry, registry_entry = _load_registry_arg(args.registry)
+    registry = _load_registry_arg(run, args.registry)
     if args.counts is not None:
-        table, counts_entry = _read_input(args.counts, read_counts_json)
-        inputs = {"counts": counts_entry}
+        table = run.read("counts", args.counts, read_counts_json)
     else:
-        table, inputs = _table_from_dump(args, registry)
-        _write_count_outputs(out, table)
-    inputs["registry"] = registry_entry
-
-    jcr_rows, inputs["jcr"] = _read_input(args.jcr, read_jcr_csv)
+        table = _table_from_dump(run, args, registry)
+        _write_count_outputs(run, table)
+    jcr_rows = run.read("jcr", args.jcr, read_jcr_csv)
 
     joined = join(table, jcr_rows, registry)
     n_joined = len(joined.metrics)
@@ -457,33 +461,28 @@ def cmd_correlate(args) -> int:
     except ValueError as exc:
         raise InsufficientDataError(str(exc)) from None
 
-    with out.open("correlations.csv") as fp:
+    with run.open("correlations.csv") as fp:
         write_correlations_csv(results, fp)
-    with out.open("scatter.csv") as fp:
+    with run.open("scatter.csv") as fp:
         write_scatter_csv(scatter_export(joined.metrics, args.labels), fp)
-    out.csv("overlap.csv", ["k", "m", "overlap"], [[overlap_k, overlap_m, overlap]])
+    run.csv("overlap.csv", ["k", "m", "overlap"], [[overlap_k, overlap_m, overlap]])
     audit = {
         "joined": n_joined,
         "wiki_only": joined.wiki_only,
         "jcr_only": joined.jcr_only,
         "jcr_excluded": joined.jcr_excluded,
     }
-    out.json("join_audit.json", audit)
-
-    out.manifest(args, inputs)
+    run.json("join_audit.json", audit)
     print(
         f"correlate: joined={n_joined} sweep_points={len(sweep)} "
         f"overlap({overlap_k},{overlap_m})={overlap}",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args, run: _Run) -> None:
     _load("datetime")
-    out = _Outputs(args.out)
     dated: list[tuple[date, CountTable]] = []
-    inputs: dict = {}
     for index, spec in enumerate(args.table):
         date_text, sep, path = spec.partition("=")
         if not sep or not path:
@@ -492,8 +491,7 @@ def cmd_growth(args) -> int:
             when = date.fromisoformat(date_text)
         except ValueError:
             raise UsageError(f"bad date {date_text!r} in {spec!r}") from None
-        table, inputs[f"table_{index}"] = _read_input(path, read_counts_json)
-        dated.append((when, table))
+        dated.append((when, run.read(f"table_{index}", path, read_counts_json)))
 
     try:
         series = growth_report(dated)
@@ -501,42 +499,39 @@ def cmd_growth(args) -> int:
         raise UsageError(str(exc)) from None
 
     rows = [(when.isoformat(), total) for when, total in series]
-    out.csv("growth.csv", ["date", "template_total"], rows)
-    out.manifest(args, inputs)
+    run.csv("growth.csv", ["date", "template_total"], rows)
     print(f"growth: points={len(series)}", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_gen_fixture(args) -> int:
+def cmd_gen_fixture(args, run: _Run) -> None:
     _load("wikicite.fixtures")
-    out = _Outputs(args.out)
-    corpus = build_corpus(
-        page_count=args.pages,
-        citations=args.citations,
-        nested=args.nested,
-        comment_decoys=args.decoys,
-        malformed=args.malformed,
-        no_journal=args.no_journal,
-        seed=args.seed,
-    )
-    with out.open("dump.xml") as fp:
+    try:
+        corpus = build_corpus(
+            page_count=args.pages,
+            citations=args.citations,
+            nested=args.nested,
+            comment_decoys=args.decoys,
+            malformed=args.malformed,
+            no_journal=args.no_journal,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    with run.open("dump.xml") as fp:
         write_dump(corpus.pages, fp)
-    out.json("truth.json", corpus.truth._asdict())
+    run.json("truth.json", corpus.truth._asdict())
     data = default_registry_bytes()
-    with out.open("registry.tsv") as fp:
+    with run.open("registry.tsv") as fp:
         fp.write(data.decode("utf-8"))
     registry = load_registry(io.BytesIO(data))
     scored = sorted(registry.canonical - registry.exclusions)
     rows = ([r[0], r[1], repr(r[2]), r[3]] for r in synthetic_jcr_rows(scored, seed=args.seed))
-    out.csv("jcr.csv", ["journal", "total_citations", "impact_factor", "articles"], rows)
-
-    out.manifest(args, {})
+    run.csv("jcr.csv", ["journal", "total_citations", "impact_factor", "articles"], rows)
     print(
         f"gen-fixture: pages={corpus.truth.page_count} "
         f"citations={corpus.truth.citations_total}",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
 # wiring -------------------------------------------------------------
@@ -664,7 +659,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("a subcommand is required (see --help)")
-        return args.func(args)
+        run = _Run(args.out)
+        args.func(args, run)
+        run.manifest(args)
+        return EXIT_OK
     except UsageError as exc:
         print(f"wikicite: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -86,7 +86,6 @@ class DumpReader:
         self._finished = False
         self._ready: deque[WikiPage] = deque()
         self.pages_seen = 0
-        self.pages_yielded = 0
         self.pages_skipped = 0
 
         self._saw_root = False
@@ -136,9 +135,7 @@ class DumpReader:
                 self._finished = True
                 self._close_stream()
                 raise
-        page = self._ready.popleft()
-        self.pages_yielded += 1
-        return page
+        return self._ready.popleft()
 
     def _close_stream(self) -> None:
         if self._owns_stream:

@@ -337,12 +337,6 @@ def _json_lines(records: Iterable[CitationRecord]) -> list[str]:
     return lines
 
 
-def record_to_json(record: CitationRecord) -> str:
-    """Serialize one record as a JSON object with fixed field order: the
-    line :func:`write_jsonl` writes for it, without the newline."""
-    return _json_lines((record,))[0][:-1]
-
-
 def write_jsonl(records: Iterable[CitationRecord], fp: IO[str]) -> int:
     """Write records as JSON lines, all in one ``fp.write``; returns the
     number written."""

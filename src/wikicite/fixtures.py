@@ -155,6 +155,17 @@ def build_corpus(
     parameter). Comment-wrapped decoys and dangling-brace fragments are
     planted on top and must never produce records.
     """
+    if page_count < 1:
+        raise ValueError(f"page_count must be at least 1, got {page_count}")
+    for name, value in (
+        ("citations", citations),
+        ("nested", nested),
+        ("comment_decoys", comment_decoys),
+        ("malformed", malformed),
+        ("no_journal", no_journal),
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
     if nested + no_journal > citations:
         raise ValueError("nested and no_journal must fit inside citations")
     if malformed > page_count:

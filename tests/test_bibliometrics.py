@@ -19,7 +19,6 @@ from wikicite.bibliometrics import (
     join,
     read_jcr_csv,
     scatter_export,
-    series_values,
     topn_sweep,
     write_correlations_csv,
     write_scatter_csv,
@@ -42,6 +41,15 @@ def make_table(counts: dict[str, int], fingerprint: str) -> CountTable:
 
 def jcr(journal: str, total=1000, impact=2.5, articles=100) -> JcrRecord:
     return JcrRecord(journal, total, impact, articles)
+
+
+# Each series' value for one joined journal, read from its attributes.
+SERIES_VALUE = {
+    "total_citations": lambda m: float(m.jcr.total_citations),
+    "impact_factor": lambda m: m.jcr.impact_factor,
+    "articles": lambda m: float(m.jcr.articles),
+    "combined": lambda m: m.combined,
+}
 
 
 def metric(journal: str, wiki: int, total: int, impact: float, articles: int = 50):
@@ -183,7 +191,7 @@ class TestSweep:
             for result in results:
                 top = ranked[: result.n]
                 x = [float(m.wiki_count) for m in top]
-                y = [series_values(m, series) for m in top]
+                y = [SERIES_VALUE[series](m) for m in top]
                 assert result.tau == pytest.approx(brute_tau(x, y), abs=1e-12)
 
     def test_out_of_range_lists_offenders(self):
@@ -236,7 +244,7 @@ def tied_sweeps(draw, max_size=24, values=4):
 
 def _ranked_pairs(metrics, series):
     ranked = sorted(metrics, key=lambda m: (-m.wiki_count, m.journal))
-    return [float(m.wiki_count) for m in ranked], [series_values(m, series) for m in ranked]
+    return [float(m.wiki_count) for m in ranked], [SERIES_VALUE[series](m) for m in ranked]
 
 
 def _per_prefix(x, y, series, n_values, method="normal"):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from wikicite.cli import (
     UsageError,
     _HashingReader,
     _load_registry_arg,
-    _read_input,
+    _Run,
     main,
     parse_sweep,
 )
@@ -26,6 +27,8 @@ from wikicite.dump_reader import WikiPage
 from wikicite.extractor import read_jsonl, scan_page
 from wikicite.fixtures import build_corpus, dump_xml, write_dump
 from wikicite.registry import load_default_registry, load_registry
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,7 @@ class TestExtract:
              "--out", str(tmp_path / "out")],
             input=dump_xml(pages).encode("utf-8"),
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
         )
         assert result.returncode == 0, result.stderr
         with open(tmp_path / "out" / "citations.jsonl", encoding="utf-8") as fp:
@@ -154,6 +158,7 @@ class TestCount:
             [sys.executable, "-m", "wikicite.cli", "count", "--dump", "-",
              "--out", str(tmp_path / "piped")],
             input=data, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
         )
         assert piped.returncode == 0, piped.stderr
         assert main(["count", "--dump", str(small_dump), "--out", str(tmp_path / "file")]) == 0
@@ -221,7 +226,7 @@ class TestCount:
             "canonical\tNa\x85ture\r\nalias\tNat\tNa\x85ture\rcanonical\tScience\n"
             "exclude\tTime\r".encode("utf-8")
         )
-        registry, _ = _load_registry_arg(str(registry_path))
+        registry = _load_registry_arg(_Run(str(tmp_path / "out")), str(registry_path))
         assert registry == load_registry(registry_path)
         assert registry.fingerprint == load_registry(registry_path).fingerprint
         assert registry.canonical == {"Na\x85ture", "Science", "Time"}
@@ -243,11 +248,12 @@ class TestCount:
         monkeypatch.setattr(registry_module, "DEFAULT_REGISTRY_RESOURCE", str(path))
         expected = load_registry(path)
         assert expected.canonical == {"Na\x85ture", "Science\x0cWeekly"}
-        builtin, entry = _load_registry_arg(None)
+        run = _Run(str(tmp_path / "out"))
+        builtin = _load_registry_arg(run, None)
         assert builtin == expected
         assert builtin.fingerprint == expected.fingerprint
         assert load_default_registry() == expected
-        assert entry == {
+        assert run.inputs["registry"] == {
             "path": "<builtin starter registry>",
             "sha256": hashlib.sha256(data).hexdigest(),
             "bytes": len(data),
@@ -851,6 +857,17 @@ class TestGenFixture:
         assert table.malformed_total == truth["malformed_total"]
         assert table.counts == truth["expected_counts"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--pages", "0"), ("--malformed", "-1"), ("--citations", "-1"), ("--decoys", "-2"),
+    ])
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, flag, value):
+        """A count no corpus can have is a usage error, found before any
+        file is written."""
+        out = tmp_path / "fx"
+        assert main(["gen-fixture", flag, value, "--out", str(out)]) == 1
+        assert "wikicite: usage error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_full_demo_pipeline(self, tmp_path):
         fixture_dir = tmp_path / "fx"
         main(["gen-fixture", "--pages", "60", "--citations", "200", "--out", str(fixture_dir)])
@@ -948,18 +965,16 @@ class TestAtomicOutputs:
         assert code == 0
 
     def test_no_partial_file_after_success_or_exception(self, tmp_path):
-        from wikicite.cli import _Outputs
-
-        outputs = _Outputs(str(tmp_path / "out"))
-        with outputs.open("kept.txt") as fp:
+        run = _Run(str(tmp_path / "out"))
+        with run.open("kept.txt") as fp:
             fp.write("whole\n")
         with pytest.raises(RuntimeError):
-            with outputs.open("lost.txt") as fp:
+            with run.open("lost.txt") as fp:
                 fp.write("half")
                 raise RuntimeError("stage failed")
         assert os.listdir(tmp_path / "out") == ["kept.txt"]
         assert read(tmp_path / "out" / "kept.txt") == "whole\n"
-        assert outputs.names == ["kept.txt"]
+        assert run.names == ["kept.txt"]
 
 
 def test_manifest_written_and_stable(tmp_path):
@@ -1097,6 +1112,9 @@ class TestOneReadPerInput:
         fx = root / "fx"
         assert main(["gen-fixture", "--pages", "60", "--citations", "200", "--out", str(fx)]) == 0
         assert main(["extract", "--dump", str(fx / "dump.xml"), "--out", str(root / "ex")]) == 0
+        # A citations file with no extract_summary.json beside it.
+        (root / "bare").mkdir()
+        shutil.copy(root / "ex" / "citations.jsonl", root / "bare")
         for name in ("c1", "c2"):
             assert main(
                 ["count", "--dump", str(fx / "dump.xml"), "--registry", str(fx / "registry.tsv"),
@@ -1105,11 +1123,17 @@ class TestOneReadPerInput:
         return root
 
     @pytest.mark.parametrize("argv, inputs", [
+        (["extract", "--dump", "{r}/fx/dump.xml"], {"dump": "{r}/fx/dump.xml"}),
         (["count", "--citations", "{r}/ex/citations.jsonl", "--registry", "{r}/fx/registry.tsv"],
          {"extract_summary": "{r}/ex/extract_summary.json",
           "citations": "{r}/ex/citations.jsonl", "registry": "{r}/fx/registry.tsv"}),
         (["count", "--dump", "{r}/fx/dump.xml", "--registry", "{r}/fx/registry.tsv"],
          {"dump": "{r}/fx/dump.xml", "registry": "{r}/fx/registry.tsv"}),
+        (["count", "--citations", "{r}/bare/citations.jsonl", "--registry", "{r}/fx/registry.tsv"],
+         {"citations": "{r}/bare/citations.jsonl", "registry": "{r}/fx/registry.tsv"}),
+        (["correlate", "--dump", "{r}/fx/dump.xml", "--registry", "{r}/fx/registry.tsv",
+          "--jcr", "{r}/fx/jcr.csv"],
+         {"dump": "{r}/fx/dump.xml", "registry": "{r}/fx/registry.tsv", "jcr": "{r}/fx/jcr.csv"}),
         (["correlate", "--counts", "{r}/c1/counts.json", "--registry", "{r}/fx/registry.tsv",
           "--jcr", "{r}/fx/jcr.csv"],
          {"counts": "{r}/c1/counts.json", "registry": "{r}/fx/registry.tsv",
@@ -1117,7 +1141,9 @@ class TestOneReadPerInput:
         (["growth", "--table", "2006-01-01={r}/c1/counts.json",
           "--table", "2007-01-01={r}/c2/counts.json"],
          {"table_0": "{r}/c1/counts.json", "table_1": "{r}/c2/counts.json"}),
-    ], ids=["count-citations", "count-dump", "correlate-counts", "growth"])
+        (["gen-fixture", "--pages", "30", "--citations", "120"], {}),
+    ], ids=["extract", "count-citations", "count-dump", "count-citations-no-summary",
+            "correlate-dump", "correlate-counts", "growth", "gen-fixture"])
     def test_each_input_is_opened_once(self, root, tmp_path, monkeypatch, argv, inputs):
         from wikicite import cli
 
@@ -1205,9 +1231,65 @@ class TestOneReadPerInput:
         assert reader.manifest_entry() == whole
         path = tmp_path / "lines.txt"
         path.write_bytes(data)
-        first, entry = _read_input(str(path), lambda fp: fp.readline())
-        assert first == "first line\n"
-        assert entry == {**whole, "path": str(path)}
+        run = _Run(str(tmp_path / "out"))
+        assert run.read("lines", str(path), lambda fp: fp.readline()) == "first line\n"
+        assert run.inputs == {"lines": {**whole, "path": str(path)}}
+
+
+class TestInputErrorsNameTheirFile:
+    """An input error starts with the path of the input at fault, and a run
+    that fails before its first output leaves no ``--out`` directory."""
+
+    def test_growth_names_the_corrupt_table(self, tmp_path, capsys):
+        _, good, _, _ = _write_counts_and_jcr(tmp_path)
+        bad = tmp_path / "b.json"
+        bad.write_bytes(good.read_bytes())
+        _corrupt_counts(bad, "no_journal_count", 999999)
+        out = tmp_path / "out"
+        code = main(["growth", "--table", f"2006-01-01={good}", "--table", f"2007-01-01={bad}",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"wikicite: input error: {bad}: corrupt count table:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_registry_that_is_not_utf_8_is_named(self, tmp_path, capsys):
+        citations = tmp_path / "citations.jsonl"
+        citations.write_text("", encoding="utf-8")
+        registry = tmp_path / "registry.tsv"
+        registry.write_bytes(b"canonical\tNature\ncanonical\tSci\xffnce\n")
+        out = tmp_path / "out"
+        code = main(["count", "--citations", str(citations), "--registry", str(registry),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"wikicite: input error: {registry}: 'utf-8' codec" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["extract"], ["count"], ["count", "--jobs", "2"]],
+                             ids=["extract", "count", "count-jobs-2"])
+    def test_dump_cut_mid_page_is_named(self, small_dump, tmp_path, capsys, command):
+        data = small_dump.read_bytes()
+        cut = tmp_path / "cut.xml"
+        cut.write_bytes(data[: data.index(b"</page>", len(data) // 2)])
+        out = tmp_path / "out"
+        assert main([*command, "--dump", str(cut), "--out", str(out)]) == 2
+        assert f"wikicite: input error: {cut}: no element found" in capsys.readouterr().err
+        # extract opens citations.jsonl before it reads the dump; count
+        # writes nothing until the whole dump is tallied.
+        if command == ["extract"]:
+            assert os.listdir(out) == []
+        else:
+            assert not out.exists()
+
+    def test_bad_jcr_leaves_no_out_directory(self, tmp_path, capsys):
+        _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)
+        jcr_path.write_text("journal,total_citations,impact_factor,articles\nNature,1,2\n",
+                            encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["correlate", "--counts", str(counts_path), "--jcr", str(jcr_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"wikicite: input error: {jcr_path}: line 2:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_import_skips_network_modules():
@@ -1224,8 +1306,6 @@ def test_cli_import_skips_network_modules():
     )
     assert result.stdout.strip() == "[]"
 
-
-_ROOT = Path(__file__).resolve().parents[1]
 
 # What only some commands need: the pool (--jobs > 1), the statistics
 # (correlate), the generator (gen-fixture) and the builtin registry's loader;

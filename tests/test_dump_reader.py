@@ -93,7 +93,7 @@ def test_missing_title_is_skipped_and_tallied():
     titles = [p.title for p in reader]
     assert titles == ["Kept", "Also kept"]
     assert reader.pages_skipped == 1
-    assert reader.pages_seen == reader.pages_yielded + reader.pages_skipped == 3
+    assert reader.pages_seen == len(titles) + reader.pages_skipped == 3
 
 
 def test_missing_text_element_yields_empty_text():

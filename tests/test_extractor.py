@@ -19,7 +19,6 @@ from wikicite.extractor import (
     mask_hidden_spans,
     normalize_template_name,
     read_jsonl,
-    record_to_json,
     scan_page,
     write_jsonl,
 )
@@ -35,6 +34,13 @@ from oracles import (
 
 def page(text: str, title: str = "Test") -> WikiPage:
     return WikiPage(title=title, namespace=0, text=text)
+
+
+def jsonl_line(record: CitationRecord) -> str:
+    """The line ``write_jsonl`` writes for ``record``, without its newline."""
+    buffer = io.StringIO()
+    write_jsonl([record], buffer)
+    return buffer.getvalue()[:-1]
 
 
 def test_basic_record():
@@ -267,7 +273,7 @@ def test_jsonl_roundtrip_and_field_order():
     records = scan_page(
         page("{{cite journal|journal=Nature|title=T}} {{cite journal|title=only}}")
     ).records
-    line = record_to_json(records[0])
+    line = jsonl_line(records[0])
     keys = list(json.loads(line).keys())
     assert keys == ["page_title", "template_name_raw", "params", "journal_raw", "span"]
 
@@ -277,7 +283,7 @@ def test_jsonl_roundtrip_and_field_order():
     assert list(read_jsonl(buffer)) == records
 
 
-_GOOD_LINE = record_to_json(
+_GOOD_LINE = jsonl_line(
     scan_page(page("{{cite journal|journal=Nature|title=T}}")).records[0]
 )
 
@@ -701,7 +707,7 @@ def test_record_json_matches_json_dumps():
         },
         ensure_ascii=False,
     )
-    assert record_to_json(rec) == expected
+    assert jsonl_line(rec) == expected
 
 
 # Arbitrary text, and text built from what json must escape or, with
