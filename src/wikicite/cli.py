@@ -10,7 +10,7 @@ never leaves a partial stage file for the next stage to accept, and
 ``--out`` is made on the first write. Outputs are byte-identical across
 repeated runs on identical inputs.
 
-Exit codes: 0 success, 1 usage error, 2 input-format error,
+Exit codes: 0 success, 1 usage error, 2 input-format or output error,
 3 data-insufficiency error.
 """
 
@@ -46,8 +46,8 @@ from .extractor import PageScan, read_jsonl, scan_page, write_jsonl
 from .registry import JournalRegistry, default_registry_bytes, load_registry, near_misses
 
 # Names only some commands use, bound into this module on first use so that
-# a command imports just what it runs: the process pool for --jobs > 1, the
-# statistics for correlate, the generator for gen-fixture, dates for growth.
+# a command imports just what it runs: the process pool for count --jobs > 1,
+# the statistics for correlate, the generator for gen-fixture, dates for growth.
 _DEFERRED = {
     "concurrent.futures.process": ("ProcessPoolExecutor",),
     "datetime": ("date",),
@@ -95,6 +95,10 @@ class UsageError(Exception):
 
 
 class InsufficientDataError(Exception):
+    pass
+
+
+class OutputError(Exception):
     pass
 
 
@@ -192,16 +196,14 @@ def parse_sweep(spec: str, limit: int) -> list[int]:
     return [n for _, lo, hi in entries for n in range(lo, hi + 1)]
 
 
-def _scan_stream(
-    pages: Iterable[WikiPage], jobs: int, journal_only: bool = False
-) -> Iterator[PageScan]:
-    """Per-page scans, optionally fanned out to worker processes. The
+def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
+    """``count --dump``'s journal-only scans, fanned out to worker processes
+    for ``jobs`` > 1, a pool kept only for the benchmark's pool metrics. The
     submission window is bounded so memory stays streaming-sized, and
-    results come back in page order. ``journal_only`` asks for the scan
-    that counting needs (see :func:`scan_page`)."""
+    results come back in page order."""
     if jobs <= 1:
         for page in pages:
-            yield scan_page(page, journal_only=journal_only)
+            yield scan_page(page, journal_only=True)
         return
     _load("concurrent.futures.process")
     window: deque = deque()
@@ -209,7 +211,7 @@ def _scan_stream(
         for page in pages:
             if len(window) >= jobs * 4:
                 yield window.popleft().result()
-            window.append(executor.submit(scan_page, page, journal_only=journal_only))
+            window.append(executor.submit(scan_page, page, journal_only=True))
         while window:
             yield window.popleft().result()
 
@@ -223,7 +225,8 @@ class _Run:
     its path. Outputs go to the ``--out`` directory, made on the first
     write; each is written as ``<name>.partial`` and renamed to ``name``
     only once complete, so a failed run leaves no partial file under a
-    final name, and the manifest lists exactly the files written."""
+    final name, and the manifest lists exactly the files written. Failing
+    to make, open or rename an output is an OutputError."""
 
     def __init__(self, out_arg: str):
         self.dir = Path(out_arg)
@@ -265,24 +268,29 @@ class _Run:
 
     @contextmanager
     def open(self, name: str) -> Iterator[IO[str]]:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        partial = self.dir / f"{name}.partial"
+        path, partial = self.dir / name, self.dir / f"{name}.partial"
         try:
-            with open(partial, "w", encoding="utf-8") as fp:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            fp = open(partial, "w", encoding="utf-8")
+        except OSError as exc:
+            raise OutputError(f"{path}: {exc}") from exc
+        try:
+            with fp:
                 yield fp
         except BaseException:
             partial.unlink(missing_ok=True)
             raise
-        os.replace(partial, self.dir / name)
+        try:
+            os.replace(partial, path)
+        except OSError as exc:
+            partial.unlink(missing_ok=True)
+            raise OutputError(f"{path}: {exc}") from exc
         self.names.append(name)
 
-    def json(self, name: str, obj) -> None:
+    def write(self, name: str, writer, *args) -> None:
+        """Write ``name`` whole with ``writer(*args, fp)``."""
         with self.open(name) as fp:
-            write_json(obj, fp)
-
-    def csv(self, name: str, header: list[str], rows: Iterable) -> None:
-        with self.open(name) as fp:
-            write_csv(header, rows, fp)
+            writer(*args, fp)
 
     def manifest(self, args) -> None:
         """The run's configuration is every parsed option of its subcommand."""
@@ -295,7 +303,7 @@ class _Run:
             "inputs": self.inputs,
             "outputs": sorted(self.names),
         }
-        self.json("manifest.json", manifest)
+        self.write("manifest.json", write_json, manifest)
 
 
 def _load_registry_arg(run: _Run, registry_arg: str | None) -> JournalRegistry:
@@ -316,7 +324,8 @@ def cmd_extract(args, run: _Run) -> None:
     duplicate_params = 0
     pages_scanned = 0
     with run.dump(args) as (reader, pages), run.open("citations.jsonl") as fp:
-        for scan in _scan_stream(pages, args.jobs):
+        for page in pages:
+            scan = scan_page(page)
             pages_scanned += 1
             malformed_total += scan.malformed
             duplicate_params += scan.duplicate_params
@@ -330,7 +339,7 @@ def cmd_extract(args, run: _Run) -> None:
         "malformed_total": malformed_total,
         "duplicate_params": duplicate_params,
     }
-    run.json("extract_summary.json", summary)
+    run.write("extract_summary.json", write_json, summary)
     print(
         f"extract: pages={pages_scanned} records={records_total} "
         f"malformed={malformed_total} skipped={reader.pages_skipped}",
@@ -377,29 +386,29 @@ def _table_from_citations(run: _Run, path: str, registry: JournalRegistry) -> Co
     return table
 
 
-def _table_from_dump(run: _Run, args, registry: JournalRegistry) -> CountTable:
+def _table_from_dump(run: _Run, args, registry: JournalRegistry, jobs: int = 1) -> CountTable:
     with run.dump(args) as (_, pages):
-        return tally_scans(_scan_stream(pages, args.jobs, journal_only=True), registry)
+        return tally_scans(_scan_stream(pages, jobs), registry)
 
 
 def _write_count_outputs(run: _Run, table: CountTable) -> None:
-    with run.open("counts.csv") as fp:
-        write_counts_csv(table, fp)
-    with run.open("counts.json") as fp:
-        write_counts_json(table, fp)
-    with run.open("unknown.csv") as fp:
-        write_unknown_csv(table, fp)
+    run.write("counts.csv", write_counts_csv, table)
+    run.write("counts.json", write_counts_json, table)
+    run.write("unknown.csv", write_unknown_csv, table)
 
 
 def cmd_count(args, run: _Run) -> None:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     registry = _load_registry_arg(run, args.registry)
     if args.citations is not None:
         table = _table_from_citations(run, args.citations, registry)
     else:
-        table = _table_from_dump(run, args, registry)
+        table = _table_from_dump(run, args, registry, args.jobs)
     _write_count_outputs(run, table)
     if args.near_miss:
-        run.csv("near_miss.csv", ["unknown", "candidate"], near_misses(table.unknown, registry))
+        hints = near_misses(table.unknown, registry)
+        run.write("near_miss.csv", write_csv, ["unknown", "candidate"], hints)
     print(
         f"count: templates={table.template_total} journals={len(table.counts)} "
         f"excluded={table.excluded_count} unknown={len(table.unknown)} "
@@ -445,34 +454,26 @@ def cmd_correlate(args, run: _Run) -> None:
         )
 
     sweep = parse_sweep(args.sweep, n_joined) if args.sweep else list(range(2, n_joined + 1))
-    try:
-        results = []
-        for series_name in SERIES_NAMES:
-            results.extend(topn_sweep(joined.metrics, series_name, sweep))
-    except ValueError as exc:
-        raise InsufficientDataError(str(exc)) from None
-
     overlap_k = args.overlap_k if args.overlap_k is not None else min(DEFAULT_OVERLAP_K, n_joined)
     overlap_m = args.overlap_m
     if overlap_m is None:
         overlap_m = min(max(DEFAULT_OVERLAP_M, overlap_k), n_joined)
     try:
+        results = [r for name in SERIES_NAMES for r in topn_sweep(joined.metrics, name, sweep)]
         overlap = combined_top_overlap(joined.metrics, overlap_k, overlap_m)
     except ValueError as exc:
         raise InsufficientDataError(str(exc)) from None
 
-    with run.open("correlations.csv") as fp:
-        write_correlations_csv(results, fp)
-    with run.open("scatter.csv") as fp:
-        write_scatter_csv(scatter_export(joined.metrics, args.labels), fp)
-    run.csv("overlap.csv", ["k", "m", "overlap"], [[overlap_k, overlap_m, overlap]])
+    run.write("correlations.csv", write_correlations_csv, results)
+    run.write("scatter.csv", write_scatter_csv, scatter_export(joined.metrics, args.labels))
+    run.write("overlap.csv", write_csv, ["k", "m", "overlap"], [[overlap_k, overlap_m, overlap]])
     audit = {
         "joined": n_joined,
         "wiki_only": joined.wiki_only,
         "jcr_only": joined.jcr_only,
         "jcr_excluded": joined.jcr_excluded,
     }
-    run.json("join_audit.json", audit)
+    run.write("join_audit.json", write_json, audit)
     print(
         f"correlate: joined={n_joined} sweep_points={len(sweep)} "
         f"overlap({overlap_k},{overlap_m})={overlap}",
@@ -499,7 +500,7 @@ def cmd_growth(args, run: _Run) -> None:
         raise UsageError(str(exc)) from None
 
     rows = [(when.isoformat(), total) for when, total in series]
-    run.csv("growth.csv", ["date", "template_total"], rows)
+    run.write("growth.csv", write_csv, ["date", "template_total"], rows)
     print(f"growth: points={len(series)}", file=sys.stderr)
 
 
@@ -517,16 +518,16 @@ def cmd_gen_fixture(args, run: _Run) -> None:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with run.open("dump.xml") as fp:
-        write_dump(corpus.pages, fp)
-    run.json("truth.json", corpus.truth._asdict())
+    run.write("dump.xml", write_dump, corpus.pages)
+    run.write("truth.json", write_json, corpus.truth._asdict())
     data = default_registry_bytes()
     with run.open("registry.tsv") as fp:
         fp.write(data.decode("utf-8"))
     registry = load_registry(io.BytesIO(data))
     scored = sorted(registry.canonical - registry.exclusions)
     rows = ([r[0], r[1], repr(r[2]), r[3]] for r in synthetic_jcr_rows(scored, seed=args.seed))
-    run.csv("jcr.csv", ["journal", "total_citations", "impact_factor", "articles"], rows)
+    header = ["journal", "total_citations", "impact_factor", "articles"]
+    run.write("jcr.csv", write_csv, header, rows)
     print(
         f"gen-fixture: pages={corpus.truth.page_count} "
         f"citations={corpus.truth.citations_total}",
@@ -544,10 +545,10 @@ def build_parser() -> _Parser:
         "compare per-journal counts against journal statistics.",
     )
     parser.add_argument("--version", action="version", version=f"wikicite {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add_dump(p, inputs=None):
-        """``--dump`` and its scan options; with ``inputs``, a required
+        """``--dump`` and ``--namespaces``; with ``inputs``, a required
         mutually exclusive group, the dump is one of the alternatives."""
         (p if inputs is None else inputs).add_argument(
             "--dump",
@@ -558,12 +559,6 @@ def build_parser() -> _Parser:
             "--namespaces",
             default="0",
             help="comma-separated namespace ids to keep, or 'all' (default: 0)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker processes for page scanning (default: 1)",
         )
 
     def add_registry(p):
@@ -583,6 +578,9 @@ def build_parser() -> _Parser:
     add_dump(p_count, count_inputs)
     count_inputs.add_argument(
         "--citations", default=None, help="citations.jsonl from a previous extract run"
+    )
+    p_count.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for --dump (default: 1)"
     )
     add_registry(p_count)
     p_count.add_argument(
@@ -657,8 +655,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            raise UsageError("a subcommand is required (see --help)")
         run = _Run(args.out)
         args.func(args, run)
         run.manifest(args)
@@ -669,9 +665,11 @@ def main(argv=None) -> int:
     except InsufficientDataError as exc:
         print(f"wikicite: insufficient data: {exc}", file=sys.stderr)
         return EXIT_DATA
-    # Every input-format error except DumpParseError is a ValueError.
-    except (DumpParseError, ValueError, OSError) as exc:
-        print(f"wikicite: input error: {exc}", file=sys.stderr)
+    # Every input-format error except DumpParseError is a ValueError; an
+    # output that cannot be made, opened or renamed exits 2 as well.
+    except (OutputError, DumpParseError, ValueError, OSError) as exc:
+        kind = "output" if isinstance(exc, OutputError) else "input"
+        print(f"wikicite: {kind} error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import hashlib
@@ -20,6 +21,7 @@ from wikicite.cli import (
     _HashingReader,
     _load_registry_arg,
     _Run,
+    build_parser,
     main,
     parse_sweep,
 )
@@ -109,12 +111,15 @@ class TestExtract:
         with open(out_all / "citations.jsonl", encoding="utf-8") as fp:
             assert [r.journal_raw for r in read_jsonl(fp)] == ["Nature", "Science"]
 
-    def test_jobs_flag_gives_identical_output(self, small_dump, tmp_path):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        main(["extract", "--dump", str(small_dump), "--out", str(serial)])
-        main(["extract", "--dump", str(small_dump), "--jobs", "3", "--out", str(parallel)])
-        assert read(serial / "citations.jsonl") == read(parallel / "citations.jsonl")
+    @pytest.mark.parametrize("command", ["extract", "correlate"])
+    def test_jobs_is_a_usage_error_outside_count(self, tmp_path, capsys, command):
+        """Only ``count`` runs a pool; elsewhere ``--jobs`` is rejected
+        before the (missing) dump is read."""
+        out = tmp_path / "out"
+        argv = [command, "--dump", str(tmp_path / "missing.xml"), "--jobs", "2", "--out", str(out)]
+        assert main(argv + (["--jcr", "jcr.csv"] if command == "correlate" else [])) == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_xml_exit_code(self, tmp_path):
         dump = tmp_path / "bad.xml"
@@ -150,6 +155,27 @@ class TestExtract:
 
 
 class TestCount:
+    def test_jobs_flag_gives_identical_output(self, small_dump, tmp_path):
+        serial = tmp_path / "serial"
+        parallel = tmp_path / "parallel"
+        assert main(["count", "--dump", str(small_dump), "--out", str(serial)]) == 0
+        assert main(
+            ["count", "--dump", str(small_dump), "--jobs", "3", "--out", str(parallel)]
+        ) == 0
+        assert read(serial / "counts.json") == read(parallel / "counts.json")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        """Rejected before the (missing) registry or dump is read."""
+        out = tmp_path / "out"
+        code = main(["count", "--dump", str(tmp_path / "missing.xml"), "--registry",
+                     str(tmp_path / "missing.tsv"), "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        assert f"wikicite: usage error: --jobs must be at least 1, got {jobs}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_stdin_count_dump(self, small_dump, tmp_path):
         """``count --dump -`` counts exactly what ``count --dump FILE`` counts,
         and its manifest digests the piped bytes."""
@@ -886,6 +912,26 @@ def test_no_subcommand_is_usage_error():
     assert main([]) == 1
 
 
+def test_each_command_takes_its_pinned_options():
+    """Adding or dropping an option is a visible change here. ``--jobs``, kept
+    for the benchmark's pool metrics, is ``count``'s alone."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(o for action in sub._actions for o in action.option_strings)
+        for name, sub in commands.choices.items()
+    }
+    assert options == {
+        "extract": ["--dump", "--help", "--namespaces", "--out", "-h"],
+        "count": ["--citations", "--dump", "--help", "--jobs", "--namespaces", "--near-miss",
+                  "--out", "--registry", "-h"],
+        "correlate": ["--counts", "--dump", "--help", "--jcr", "--labels", "--namespaces",
+                      "--out", "--overlap-k", "--overlap-m", "--registry", "--sweep", "-h"],
+        "growth": ["--help", "--out", "--table", "-h"],
+        "gen-fixture": ["--citations", "--decoys", "--help", "--malformed", "--nested",
+                        "--no-journal", "--out", "--pages", "--seed", "-h"],
+    }
+
+
 def _manifest_outputs_match_files(out: Path) -> None:
     outputs = json.loads(read(out / "manifest.json"))["outputs"]
     written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
@@ -1008,7 +1054,7 @@ def test_manifest_config_per_command(tmp_path, monkeypatch):
     }
     assert config(
         ["extract", "--dump", "fx/dump.xml", "--namespaces", "all", "--out", "ex"]
-    ) == {"dump": "fx/dump.xml", "jobs": 1, "namespaces": "all", "out": "ex"}
+    ) == {"dump": "fx/dump.xml", "namespaces": "all", "out": "ex"}
     assert config(
         ["count", "--citations", "ex/citations.jsonl", "--registry", "fx/registry.tsv",
          "--out", "c1"]
@@ -1026,7 +1072,7 @@ def test_manifest_config_per_command(tmp_path, monkeypatch):
         ["correlate", "--counts", "c1/counts.json", "--registry", "fx/registry.tsv",
          "--jcr", "fx/jcr.csv", "--out", "r1"]
     ) == {
-        "counts": "c1/counts.json", "dump": None, "jcr": "fx/jcr.csv", "jobs": 1,
+        "counts": "c1/counts.json", "dump": None, "jcr": "fx/jcr.csv",
         "labels": 100, "namespaces": "0", "out": "r1", "overlap_k": None,
         "overlap_m": None, "registry": "fx/registry.tsv", "sweep": None,
     }
@@ -1034,7 +1080,7 @@ def test_manifest_config_per_command(tmp_path, monkeypatch):
         ["correlate", "--dump", "fx/dump.xml", "--jcr", "fx/jcr.csv", "--sweep", "2..4",
          "--labels", "3", "--overlap-k", "2", "--out", "r2"]
     ) == {
-        "counts": None, "dump": "fx/dump.xml", "jcr": "fx/jcr.csv", "jobs": 1,
+        "counts": None, "dump": "fx/dump.xml", "jcr": "fx/jcr.csv",
         "labels": 3, "namespaces": "0", "out": "r2", "overlap_k": 2,
         "overlap_m": None, "registry": None, "sweep": "2..4",
     }
@@ -1053,7 +1099,7 @@ _CHAIN_DIGESTS = {
     "fx/truth.json": "adf30bf1101bb51acfbe0a4f7822954be17bfe2d7ec7d20098cdb9b8b0d90667",
     "ex/citations.jsonl": "ebb2e7fcc330dd6b2dd1382dae2df6962ede81d22a65408d0ba4c84dde099872",
     "ex/extract_summary.json": "07a508e50780c44954bd9ea919029003fad2fb32aebb533039f1876f3fd20f51",
-    "ex/manifest.json": "f8f4fa5907794724e04d42708cb0ffb739be9949c9ca94c1dd123b01e65a0175",
+    "ex/manifest.json": "c98351875833fc88daabefa13e8e5b9886d655fb32099652b2134d052012ec62",
     "c1/counts.csv": "b2ba397628a7502c92c5f4950a50dfcbc56382cfd4df87c7d1662a905c52f794",
     "c1/counts.json": "533da7f17d16c0d12f3ad21dccb8aae17894521d0521ab67154919310d1b07b3",
     "c1/manifest.json": "2be9609167718d5f9e6e05c7e20c9efa4be3cb861c9f65bf6abc956b2023c970",
@@ -1065,7 +1111,7 @@ _CHAIN_DIGESTS = {
     "c2/unknown.csv": "935cc249cb2ddfc934d973c208711526aef6fd0fdf95ea46ca94d8a280009eca",
     "r/correlations.csv": "48657084a0530685e0e01ec9c4de1af89691547c066fe5b2c3294d6c165c746a",
     "r/join_audit.json": "9f579a6f884ec16cfc185f16ec6207d06e8a7c37a648bb91832e3f68524c3eda",
-    "r/manifest.json": "f6da52cf0c2c5957bddcc12748d634172efce7174c0baec378a648bdecf0bed4",
+    "r/manifest.json": "9166f756e0faf49f7f2d4808021995eb1cce37a747c19e47a0f31ee6a5cf5bab",
     "r/overlap.csv": "2793071a2cbd5b606c20b855f4ab4129be2ec6b74bc26ffc2d2866d10c3f5bf6",
     "r/scatter.csv": "e0ab185d82f6b1e963a4bfc8d7b20bb9d326fda5c98d4614a882b0df7bd913cc",
     "g/growth.csv": "2bc96dbd8f02121bb91e721a55409c62ad4f0ce703e56000f44bfb9e8796b0d7",
@@ -1292,6 +1338,33 @@ class TestInputErrorsNameTheirFile:
         assert not out.exists()
 
 
+class TestOutputErrors:
+    """An output that cannot be made, opened or renamed is an output error
+    (exit 2) naming that output, and leaves no ``*.partial`` file."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        return empty
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys, empty):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        out = tmp_path / "afile" / "x"
+        assert main(["count", "--citations", str(empty), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"wikicite: output error: {out / 'counts.csv'}: [Errno 20] Not a directory" in err
+        assert not list(tmp_path.rglob("*.partial"))
+
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, empty):
+        out = tmp_path / "out"
+        (out / "counts.json").mkdir(parents=True)
+        assert main(["count", "--citations", str(empty), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"wikicite: output error: {out / 'counts.json'}: " in err
+        assert sorted(os.listdir(out)) == ["counts.csv", "counts.json"]
+
+
 def test_cli_import_skips_network_modules():
     """Start-up stays cheap: nothing on the CLI's import path pulls in the
     XML helpers that drag in ``urllib.request`` and ``http.client``."""
@@ -1307,7 +1380,7 @@ def test_cli_import_skips_network_modules():
     assert result.stdout.strip() == "[]"
 
 
-# What only some commands need: the pool (--jobs > 1), the statistics
+# What only some commands need: the pool (count --jobs > 1), the statistics
 # (correlate), the generator (gen-fixture) and the builtin registry's loader;
 # and what no command needs: dataclasses and the inspect module it imports.
 _DEFERRED_MODULES = (

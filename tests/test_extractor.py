@@ -316,18 +316,24 @@ def test_read_jsonl_names_the_bad_line(bad):
 
 
 def test_pages_survive_pickle():
-    """The ``--jobs`` pool ships pages to its workers."""
+    """The ``count --jobs`` pool ships pages to its workers."""
     dated = WikiPage("Dated", 0, "{{cite journal|journal=Nature}}", "2007-04-02T00:00:00Z")
     for wiki_page in (page("text"), dated):
         assert pickle.loads(pickle.dumps(wiki_page)) == wiki_page
 
 
 def test_records_and_scans_survive_pickle():
-    """The ``--jobs`` pool ships scans between processes."""
-    scan = scan_page(page("{{cite journal|journal=Nature|title=T}} {{cite journal|x}}"))
-    assert not hasattr(scan, "__dict__") and not hasattr(scan.records[0], "__dict__")
-    assert pickle.loads(pickle.dumps(scan)) == scan
-    assert pickle.loads(pickle.dumps(scan.records[0])) == scan.records[0]
+    """Full and journal-only scans and their records pickle as plain tuples;
+    ``count --jobs`` ships journal-only scans back from its workers."""
+    text = "{{cite journal|journal=Nature|title=T}} {{cite journal|x}}"
+    for journal_only in (False, True):
+        scan = scan_page(page(text), journal_only=journal_only)
+        assert not hasattr(scan, "__dict__") and not hasattr(scan.records[0], "__dict__")
+        assert pickle.loads(pickle.dumps(scan)) == scan
+        for record in scan.records:
+            assert type(pickle.loads(pickle.dumps(record))) is type(record)
+            assert pickle.loads(pickle.dumps(record)) == record
+    assert [type(r).__name__ for r in scan.records] == ["JournalRecord", "JournalRecord"]
 
 
 _soup_tokens = st.sampled_from(
