@@ -6,6 +6,9 @@ HTML comments and ``<nowiki>`` spans is masked (replaced by spaces of the same
 length) before scanning, so record spans always index into the original page
 text. Spans are found by jumping between ``{{`` and ``}}`` with one-character
 ``str.find``, and only spans named ``cite journal`` are split into parameters.
+A page's scan has two halves: finding its citations, the work per byte of
+text, and parsing each citation found, the work per citation, which can run
+in another process on the citations' text alone.
 Counting needs only each citation's journal, so a journal-only scan finds the
 ``journal`` parameter directly and splits a span only when nesting leaves
 that search unsure.
@@ -25,8 +28,13 @@ TEMPLATE_NAME = "cite journal"
 _NEST_TOKENS = re.compile(r"\{\{|\}\}|\[\[|\]\]")
 _COMMENT = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
 # A comment, a self-closing nowiki tag or a nowiki span, each open to the end.
+# As in MediaWiki's preprocessor, a tag runs from its name to the first ``>``
+# and closes itself when a ``/`` comes right before that ``>``. The
+# attributes are read once, in a lookahead that never backtracks, so an
+# opener with no ``>`` after it costs one pass over the rest of the page.
 _HIDDEN = re.compile(
-    _COMMENT.pattern + r"|<nowiki\s*/\s*>|<nowiki(?:\s[^>]*)?>.*?(?:</nowiki\s*>|\Z)",
+    _COMMENT.pattern
+    + r"|<nowiki(?:(?=(\s[^>]*))\1)?(?:(?<=/)>|/>|>.*?(?:</nowiki\s*>|\Z))",
     re.IGNORECASE | re.DOTALL,
 )
 # Up to the end of the last parameter key that, stripped and lowercased, is
@@ -256,27 +264,19 @@ def _journal_value(inner: str, inner_masked: str) -> str | None:
     return inner[value_start:value_end].strip()
 
 
-def scan_page(page: WikiPage, *, journal_only: bool = False) -> PageScan:
-    """Scan one page for ``cite journal`` templates, splitting only spans
-    whose name (the text up to the first ``|``) matches. A ``{{`` or ``[[``
-    in the name keeps it from matching; without one, the name is the first
-    top-level part, as ``}}`` and ``]]`` at depth 0 clamp to 0.
+def find_citations(text: str) -> tuple[str, list[tuple[int, int]], int]:
+    """The find half of :func:`scan_page`, all of its per-byte work: the
+    masked text, the spans named ``cite journal`` in start order, and the
+    count of dangling opens.
 
-    A name is normalized only when it contains ``journal``. The test is
-    exact: normalizing case-folds only the first letter, and ``_`` and
-    whitespace never occur inside ``journal``.
-
-    With ``journal_only``, the scan that counting needs, each citation
-    becomes a :class:`JournalRecord`: its journal is found by
-    :func:`_journal_value`, and the parameter map, the raw name and the
-    duplicate tally are skipped. Spans, journals and the malformed count
-    are those of the full scan."""
-    title = page.title
-    text = page.text
+    A name is the text up to the first ``|``. A ``{{`` or ``[[`` in it keeps
+    it from matching; without one, it is the first top-level part, as ``}}``
+    and ``]]`` at depth 0 clamp to 0. A name is normalized only when it
+    contains ``journal``. The test is exact: normalizing case-folds only the
+    first letter, and ``_`` and whitespace never occur inside ``journal``."""
     masked = mask_hidden_spans(text)
     spans, malformed = find_template_spans(masked)
-    records: list[CitationRecord] = []
-    duplicates = 0
+    citations = []
     for start, end in spans:
         inner_start = start + 2
         inner_end = end - 2
@@ -284,30 +284,80 @@ def scan_page(page: WikiPage, *, journal_only: bool = False) -> PageScan:
         if name_end < 0:
             name_end = inner_end
         # Matching runs on the masked text so a comment inside the name
-        # behaves as if removed; the stored raw name is as written.
+        # behaves as if removed.
         name = masked[inner_start:name_end]
-        if "journal" not in name or normalize_template_name(name) != TEMPLATE_NAME:
-            continue
-        if journal_only:
-            value = _journal_value(text[inner_start:inner_end], masked[inner_start:inner_end])
-            journal = None if value is None else clean_journal_value(value) or None
-            records.append(JournalRecord(journal, (start, end)))
-            continue
-        name_raw = text[inner_start:name_end]
+        if "journal" in name and normalize_template_name(name) == TEMPLATE_NAME:
+            citations.append((start, end))
+    return masked, citations, malformed
+
+
+def parse_citations(
+    title: str, text: str, masked: str, citations: list[tuple[int, int]], base: int = 0
+) -> tuple[list[CitationRecord], int]:
+    """The parse half of :func:`scan_page`, its work per citation: each
+    span in ``citations`` as a record, and the number of parameters that
+    repeat a key. ``text`` and ``masked`` are the page text and its mask
+    from page offset ``base`` on; the spans are page offsets."""
+    records = []
+    duplicates = 0
+    for start, end in citations:
+        inner_start = start - base + 2
+        inner_end = end - base - 2
         inner = text[inner_start:inner_end]
         inner_masked = masked[inner_start:inner_end]
         parts = _split_top_level(inner_masked)
         params = _params(inner, inner_masked, parts)
         # Each part stores one key, so every part past the distinct keys repeats one.
         duplicates += len(parts) - 1 - len(params)
-
-        journal_raw: str | None = None
+        journal_raw = None
         if "journal" in params:
-            cleaned = clean_journal_value(params["journal"])
-            if cleaned:
-                journal_raw = cleaned
+            journal_raw = clean_journal_value(params["journal"]) or None
+        # The name matched, so it holds no nesting token: the first part is
+        # the text up to the first pipe, kept as written.
+        name_raw = inner[: parts[0][1]].strip()
+        records.append(CitationRecord(title, name_raw, params, journal_raw, (start, end)))
+    return records, duplicates
 
-        records.append(CitationRecord(title, name_raw.strip(), params, journal_raw, (start, end)))
+
+def outermost_citations(
+    citations: list[tuple[int, int]],
+) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Citation spans in start order, grouped as (start, end, members) under
+    each outermost citation; its members are itself and every citation
+    nested in it. Spans nest or are disjoint, so a span that starts inside
+    the last outermost one lies inside it.
+
+    Such a span's text masks on its own to the page mask's slice: its
+    ``{{`` and ``}}`` were found on the masked page, so no hidden construct
+    covers them, and every construct lies wholly inside or outside it."""
+    groups: list[tuple[int, int, list[tuple[int, int]]]] = []
+    for span in citations:
+        if groups and span[0] < groups[-1][1]:
+            groups[-1][2].append(span)
+        else:
+            groups.append((span[0], span[1], [span]))
+    return groups
+
+
+def scan_page(page: WikiPage, *, journal_only: bool = False) -> PageScan:
+    """Scan one page for ``cite journal`` templates: the find half,
+    :func:`find_citations`, then the parse half, :func:`parse_citations`.
+
+    With ``journal_only``, the scan that counting needs, each citation
+    becomes a :class:`JournalRecord`: its journal is found by
+    :func:`_journal_value`, and the parameter map, the raw name and the
+    duplicate tally are skipped. Spans, journals and the malformed count
+    are those of the full scan."""
+    text = page.text
+    masked, citations, malformed = find_citations(text)
+    if journal_only:
+        journals: list[JournalRecord] = []
+        for start, end in citations:
+            value = _journal_value(text[start + 2 : end - 2], masked[start + 2 : end - 2])
+            journal = None if value is None else clean_journal_value(value) or None
+            journals.append(JournalRecord(journal, (start, end)))
+        return PageScan(records=journals, malformed=malformed, duplicate_params=0)
+    records, duplicates = parse_citations(page.title, text, masked, citations)
     return PageScan(records=records, malformed=malformed, duplicate_params=duplicates)
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from wikicite.registry import load_default_registry
@@ -6,6 +8,18 @@ from wikicite.registry import load_default_registry
 @pytest.fixture(scope="session")
 def starter_registry():
     return load_default_registry()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or not yet
+    reaped: a command's worker must be gone by the time it returns."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind ({f'pid {pid}, unreaped' if pid else 'running'})")
 
 
 # acceptance reporting -------------------------------------------------

@@ -76,17 +76,17 @@ def _hidden_end(text: str, i: int) -> int:
         return n
     if not _nowiki_name_at(text, i + 1):
         return -1
-    j = _skip_spaces(text, i + 7)
-    if j < n and text[j] == "/":
-        j = _skip_spaces(text, j + 1)
-        if j < n and text[j] == ">":
-            return j + 1  # self-closing
+    # The name ends at a space, "/>" or ">"; the tag runs on to the first
+    # ">", and closes itself when a "/" comes right before it.
     j = i + 7
-    if j < n and text[j].isspace():
-        while j < n and text[j] != ">":
-            j += 1  # attributes
-    if j == n or text[j] != ">":
+    if not (text[j : j + 1].isspace() or text[j : j + 2] == "/>" or text[j : j + 1] == ">"):
         return -1
+    while j < n and text[j] != ">":
+        j += 1  # attributes
+    if j == n:
+        return -1
+    if text[j - 1] == "/":
+        return j + 1  # self-closing
     j += 1
     while j < n:
         if text[j : j + 2] == "</" and _nowiki_name_at(text, j + 2):

@@ -176,6 +176,17 @@ class TestCount:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["2", "4"])
+    def test_jobs_with_citations_is_usage_error(self, tmp_path, capsys, jobs):
+        """``--jobs`` drives only ``--dump``'s pool; with ``--citations`` it
+        is rejected before the (missing) registry or citations are read."""
+        out = tmp_path / "out"
+        code = main(["count", "--citations", str(tmp_path / "missing.jsonl"), "--registry",
+                     str(tmp_path / "missing.tsv"), "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        assert "wikicite: usage error: --jobs applies only to --dump" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdin_count_dump(self, small_dump, tmp_path):
         """``count --dump -`` counts exactly what ``count --dump FILE`` counts,
         and its manifest digests the piped bytes."""
