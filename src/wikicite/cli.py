@@ -10,15 +10,16 @@ never leaves a partial stage file for the next stage to accept, and
 ``--out`` is made on the first write. Outputs are byte-identical across
 repeated runs on identical inputs.
 
-``extract`` forks one worker when ``os.fork`` exists and the process may
-run on two CPUs, and otherwise runs serially; its outputs are identical
-either way. The main process reads, digests and parses the dump, finds each
-page's ``cite journal`` spans, and writes the records in page order; the
-worker splits the spans into parameters. It is sent only the text of each
-outermost citation, in batches, so the hand-off costs little next to the
-parsing it moves. A pool that shipped every page out and every scan back,
-one task per page, lost to the serial scan: moving a page costs about as
-much as scanning it.
+``extract`` runs one loop: it reads, digests and parses the dump, finds
+each page's ``cite journal`` spans and batches the text of each outermost
+citation; one function splits a batch's citations into records; and the
+main process writes them in page order. The batches reach that function in
+a forked worker when ``os.fork`` exists and the process may run on two
+CPUs, and in-process otherwise; the outputs are identical either way. Only
+citation text is sent, so the hand-off costs little next to the parsing it
+moves. A pool that shipped every page out and every scan back, one task
+per page, lost to the serial scan: moving a page costs about as much as
+scanning it.
 
 Exit codes: 0 success, 1 usage error, 2 input-format or output error,
 3 data-insufficiency error.
@@ -36,7 +37,7 @@ import os
 import signal
 import sys
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -237,7 +238,7 @@ def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
             yield window.popleft().result()
 
 
-# extract's citation worker ------------------------------------------
+# extract's citation batches ----------------------------------------
 
 # Characters of citation text per batch. The first batch is small, so that
 # records stream out as soon as pages come, and each next one doubles up to
@@ -255,6 +256,52 @@ def _use_worker() -> bool:
     return len(os.sched_getaffinity(0)) >= 2
 
 
+def _citation_batches(pages: Iterable[WikiPage], counts: dict) -> Iterator[list]:
+    """The find half of each page's scan, in page order, in batches for
+    :func:`_parse_batch`. A batch holds, for each page with a citation, its
+    title and, for each outermost citation, its page offset, its text and
+    the spans of the citations it holds, so the text in a batch is at most
+    its pages' even when citations nest. Each page and its dangling opens
+    are added to ``counts`` as it is read."""
+    batch: list = []
+    chars = 0
+    batch_chars = _FIRST_BATCH_CHARS
+    for page in pages:
+        counts["pages_scanned"] += 1
+        text = page.text
+        _, citations, dangling = find_citations(text)
+        counts["malformed_total"] += dangling
+        if not citations:
+            continue
+        groups = []
+        for start, end, spans in outermost_citations(citations):
+            groups.append((start, text[start:end], spans))
+            chars += end - start
+        batch.append((page.title, groups))
+        if chars >= batch_chars:
+            yield batch
+            batch, chars = [], 0
+            batch_chars = min(2 * batch_chars, _BATCH_CHARS)
+    if batch:
+        yield batch
+
+
+def _parse_batch(batch: list) -> tuple[list, int]:
+    """The parse half of each page's scan: a batch's records, in page
+    order, and the number of parameters that repeat a key. Each citation's
+    text is masked on its own, which gives the page mask's slice (see
+    ``outermost_citations``)."""
+    records: list = []
+    duplicates = 0
+    for title, groups in batch:
+        for base, span_text, citations in groups:
+            masked = mask_hidden_spans(span_text)
+            found, repeated = parse_citations(title, span_text, masked, citations, base)
+            records += found
+            duplicates += repeated
+    return records, duplicates
+
+
 def _send(fp: IO[bytes], value) -> None:
     """One message: the length of ``value``'s marshal bytes, then the bytes."""
     data = marshal.dumps(value)
@@ -264,158 +311,79 @@ def _send(fp: IO[bytes], value) -> None:
 
 
 def _receive(fp: IO[bytes]):
-    """The next message's value, or None where the stream ends, cleanly or not."""
+    """The next message's value; EOFError where the stream ends, cleanly or not."""
     head = fp.read(8)
     size = int.from_bytes(head, "little")
     data = fp.read(size)
-    return marshal.loads(data) if len(head) == 8 and len(data) == size else None
+    if len(head) < 8 or len(data) < size:
+        raise EOFError
+    return marshal.loads(data)
 
 
 def _serve(source: IO[bytes], sink: IO[bytes]) -> None:
-    """The worker's loop: each batch of pages' outermost citations in, their
-    records and repeated-key count out, until the main process closes its
-    end. Each citation's text is masked on its own, which gives the page
-    mask's slice (see ``outermost_citations``). Records go back as plain
-    tuples, as marshal takes no named tuple."""
-    while (batch := _receive(source)) is not None:
-        records: list[tuple] = []
-        duplicates = 0
-        for title, groups in batch:
-            for base, span_text, citations in groups:
-                masked = mask_hidden_spans(span_text)
-                found, repeated = parse_citations(title, span_text, masked, citations, base)
-                records += map(tuple, found)
-                duplicates += repeated
-        _send(sink, (records, duplicates))
-
-
-class _CitationWorker:
-    """A forked process that runs the parse half of ``scan_page`` on batches
-    of citation text sent over a pipe, one batch in flight: :meth:`swap`
-    sends a batch and takes back the result of the one before, so the main
-    process finds the next batch's citations and writes the last one's
-    records while the worker parses. Leaving the block ends the worker and
-    reaps it, by SIGKILL if the block raised; a worker that ends early is an
-    OutputError. The worker leaves by ``os._exit``, so it never runs the
-    main process's exit handlers or flushes a file it inherited."""
-
-    def __init__(self) -> None:
-        to_worker, from_worker = os.pipe(), os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(to_worker[1])
-                os.close(from_worker[0])
-                _serve(os.fdopen(to_worker[0], "rb"), os.fdopen(from_worker[1], "wb"))
-                code = 0
-            except BaseException:
-                import traceback
-
-                os.write(2, traceback.format_exc().encode("utf-8", "replace"))
-            finally:  # never unwind into the stack copied from the main process
-                os._exit(code)
-        os.close(to_worker[0])
-        os.close(from_worker[1])
-        self._to = os.fdopen(to_worker[1], "wb")
-        self._from = os.fdopen(from_worker[0], "rb")
-        self._in_flight = False
-
-    def _reap(self) -> int:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        return os.waitstatus_to_exitcode(status)
-
-    def _lost(self) -> OutputError:
-        return OutputError(f"the citation worker ended early (exit status {self._reap()})")
-
-    def drain(self) -> tuple[list[tuple], int]:
-        """The records and repeated-key count of the batch in flight, or
-        none when no batch is."""
-        if not self._in_flight:
-            return [], 0
-        result = _receive(self._from)
-        if result is None:
-            raise self._lost()
-        self._in_flight = False
-        return result
-
-    def swap(self, batch: list) -> tuple[list[tuple], int]:
-        """Send ``batch`` once the result of the batch in flight is back,
-        and return that result."""
-        result = self.drain()
+    """The worker's loop: each batch in, its :func:`_parse_batch` out, until
+    the main process closes its end. Records go back as plain tuples, as
+    marshal takes no named tuple."""
+    while True:
         try:
-            _send(self._to, batch)
-        except BrokenPipeError:
-            raise self._lost() from None
-        self._in_flight = True
-        return result
+            batch = _receive(source)
+        except EOFError:
+            return
+        records, duplicates = _parse_batch(batch)
+        _send(sink, (list(map(tuple, records)), duplicates))
 
-    def __enter__(self) -> "_CitationWorker":
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.pid and exc_type is not None:
-            os.kill(self.pid, signal.SIGKILL)
-        for fp in (self._to, self._from):
-            try:
+def _parsed_in_worker(batches: Iterable[list]) -> Iterator[tuple[list, int]]:
+    """``map(_parse_batch, batches)``, run in a forked worker with one batch
+    in flight: the next batch is found while the worker parses the last,
+    and sent before the last one's result is handed back, so the worker
+    parses while the caller writes. (The first result is empty.) The worker
+    is killed if the batches fail or the generator is closed early, and is
+    always reaped; one that ends early or fails is an OutputError. It leaves
+    by ``os._exit``, so it never runs the main process's exit handlers or
+    flushes a file it inherited."""
+    to_worker, from_worker = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(to_worker[1])
+            os.close(from_worker[0])
+            _serve(os.fdopen(to_worker[0], "rb"), os.fdopen(from_worker[1], "wb"))
+            code = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+        finally:  # never unwind into the stack copied from the main process
+            os._exit(code)
+    os.close(to_worker[0])
+    os.close(from_worker[1])
+    sink, source = os.fdopen(to_worker[1], "wb"), os.fdopen(from_worker[0], "rb")
+    ended_early = False
+    try:
+        in_flight = False
+        for batch in batches:
+            result = _receive(source) if in_flight else ([], 0)
+            _send(sink, batch)
+            in_flight = True
+            yield result
+        if in_flight:
+            yield _receive(source)
+    except (EOFError, BrokenPipeError):  # raised by the pipe alone
+        ended_early = True
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fp in (sink, source):
+            with suppress(BrokenPipeError):  # the unsent rest of a batch the worker never read
                 fp.close()
-            except BrokenPipeError:  # the unsent rest of a batch the worker never read
-                pass
-        if self.pid and self._reap() != 0 and exc_type is None:
-            raise OutputError("the citation worker failed after its last batch")
-
-
-def _extract_serially(pages: Iterable[WikiPage], fp: IO[str]) -> tuple[int, int, int, int]:
-    """Scan and write each page in turn: pages, records, malformed and
-    repeated keys."""
-    pages_scanned = records = malformed = duplicates = 0
-    for page in pages:
-        scan = scan_page(page)
-        pages_scanned += 1
-        malformed += scan.malformed
-        duplicates += scan.duplicate_params
-        records += write_jsonl(scan.records, fp)
-    return pages_scanned, records, malformed, duplicates
-
-
-def _extract_in_worker(pages: Iterable[WikiPage], fp: IO[str]) -> tuple[int, int, int, int]:
-    """:func:`_extract_serially`'s counts and output, with each page's
-    citations found here and parsed in a :class:`_CitationWorker`. A batch
-    holds, for each page with a citation, its title and, for each outermost
-    citation, its text, its page offset and the spans of the citations it
-    holds, so the text sent is at most the page's even when citations nest."""
-    pages_scanned = records = malformed = duplicates = 0
-    batch: list = []
-    chars = 0
-    batch_chars = _FIRST_BATCH_CHARS
-
-    def write(result: tuple[list[tuple], int]) -> None:
-        nonlocal records, duplicates
-        records += write_jsonl(result[0], fp)
-        duplicates += result[1]
-
-    with _CitationWorker() as worker:
-        for page in pages:
-            pages_scanned += 1
-            text = page.text
-            _, citations, dangling = find_citations(text)
-            malformed += dangling
-            if not citations:
-                continue
-            groups = []
-            for start, end, spans in outermost_citations(citations):
-                groups.append((start, text[start:end], spans))
-                chars += end - start
-            batch.append((page.title, groups))
-            if chars >= batch_chars:
-                write(worker.swap(batch))
-                batch, chars = [], 0
-                batch_chars = min(2 * batch_chars, _BATCH_CHARS)
-        if batch:
-            write(worker.swap(batch))
-        write(worker.drain())
-    return pages_scanned, records, malformed, duplicates
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if ended_early:
+        raise OutputError(f"the citation worker ended early (exit status {status})")
+    if status != 0:
+        raise OutputError("the citation worker failed after its last batch")
 
 
 # a command's files --------------------------------------------------
@@ -521,23 +489,19 @@ def _load_registry_arg(run: _Run, registry_arg: str | None) -> JournalRegistry:
 
 
 def cmd_extract(args, run: _Run) -> None:
+    counts = dict.fromkeys(("pages_scanned", "records", "malformed_total", "duplicate_params"), 0)
     with run.dump(args) as (reader, pages), run.open("citations.jsonl") as fp:
-        extract = _extract_in_worker if _use_worker() else _extract_serially
-        counts = extract(pages, fp)
-    pages_scanned, records_total, malformed_total, duplicate_params = counts
+        batches = _citation_batches(pages, counts)
+        parsed = _parsed_in_worker(batches) if _use_worker() else map(_parse_batch, batches)
+        for records, duplicates in parsed:
+            counts["records"] += write_jsonl(records, fp)
+            counts["duplicate_params"] += duplicates
 
-    summary = {
-        "pages_seen": reader.pages_seen,
-        "pages_skipped": reader.pages_skipped,
-        "pages_scanned": pages_scanned,
-        "records": records_total,
-        "malformed_total": malformed_total,
-        "duplicate_params": duplicate_params,
-    }
+    summary = {"pages_seen": reader.pages_seen, "pages_skipped": reader.pages_skipped, **counts}
     run.write("extract_summary.json", write_json, summary)
     print(
-        f"extract: pages={pages_scanned} records={records_total} "
-        f"malformed={malformed_total} skipped={reader.pages_skipped}",
+        f"extract: pages={counts['pages_scanned']} records={counts['records']} "
+        f"malformed={counts['malformed_total']} skipped={reader.pages_skipped}",
         file=sys.stderr,
     )
 

@@ -61,7 +61,6 @@ class WikiPage(NamedTuple):
     title: str
     namespace: int
     text: str
-    revision_timestamp: str | None = None
 
 
 def infer_namespace(title: str) -> int:
@@ -95,9 +94,7 @@ class DumpReader:
         self._title: str | None = None
         self._ns: int | None = None
         self._page_text = ""
-        self._page_timestamp: str | None = None
         self._rev_text: str | None = None
-        self._rev_timestamp: str | None = None
 
         parser = expat.ParserCreate()
         parser.buffer_text = True
@@ -163,15 +160,13 @@ class DumpReader:
             self._title = None
             self._ns = None
             self._page_text = ""
-            self._page_timestamp = None
         elif not self._in_page:
             return
         elif name == "revision":
             self._in_revision = True
             self._rev_text = None
-            self._rev_timestamp = None
         elif self._in_revision:
-            if name == "text" or name == "timestamp":
+            if name == "text":
                 self._capture = []
         elif name == "title" or name == "ns":
             self._capture = []
@@ -192,13 +187,10 @@ class DumpReader:
                     self._ns = None
             elif name == "text":
                 self._rev_text = value
-            elif name == "timestamp":
-                self._rev_timestamp = value
             return
         if name == "revision":
             # Later revisions overwrite earlier ones: last in order wins.
             self._page_text = self._rev_text or ""
-            self._page_timestamp = self._rev_timestamp
             self._in_revision = False
         elif name == "page":
             self._in_page = False
@@ -207,14 +199,7 @@ class DumpReader:
                 self.pages_skipped += 1
                 return
             namespace = self._ns if self._ns is not None else infer_namespace(title)
-            self._ready.append(
-                WikiPage(
-                    title=title,
-                    namespace=namespace,
-                    text=self._page_text,
-                    revision_timestamp=self._page_timestamp,
-                )
-            )
+            self._ready.append(WikiPage(title, namespace, self._page_text))
 
     def _char_data(self, data: str) -> None:
         if self._capture is not None:

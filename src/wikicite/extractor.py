@@ -94,8 +94,27 @@ def mask_hidden_spans(text: str) -> str:
 
     One regex pass takes the leftmost construct first, as MediaWiki's
     preprocessor does: a comment hides any nowiki tag inside it, and a nowiki
-    span any comment opener. Either runs unclosed to the end of the text."""
-    return _HIDDEN.sub(lambda match: " " * (match.end() - match.start()), text)
+    span any comment opener. Either runs unclosed to the end of the text.
+
+    A nowiki tag ends at a ``>``, so, by MediaWiki's ``noMoreGT`` rule, none
+    opens past the last one: there only a comment opens, and runs to the end.
+    Where a ``<`` follows the last ``>``, the regex runs only up to that
+    ``>``, so that no opener there scans the rest of the text in vain, and a
+    ``\\0`` put after it is blanked when a construct runs on past it."""
+    head = text.rfind(">") + 1
+    if text.find("<", head) < 0:
+        return _HIDDEN.sub(_blank, text)
+    masked = _HIDDEN.sub(_blank, text[:head] + "\0")
+    tail = text[head:]
+    if masked[-1] == " ":
+        tail = " " * len(tail)
+    elif (comment := tail.find("<!--")) >= 0:
+        tail = tail[:comment] + " " * (len(tail) - comment)
+    return masked[:-1] + tail
+
+
+def _blank(match: re.Match) -> str:
+    return " " * (match.end() - match.start())
 
 
 def normalize_template_name(name: str) -> str:

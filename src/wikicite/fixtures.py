@@ -21,6 +21,7 @@ EXPORT_HEADER = (
     "  </siteinfo>\n"
 )
 EXPORT_FOOTER = "</mediawiki>\n"
+REVISION_TIMESTAMP = "2007-04-02T00:00:00Z"
 
 # (journal text as written in the template, canonical name it must land on)
 CANONICAL_VARIANTS: list[tuple[str, str]] = [
@@ -231,7 +232,6 @@ def build_corpus(
                 title=f"Article {index:04d}",
                 namespace=0,
                 text="\n\n".join(chunks[index]),
-                revision_timestamp="2007-04-02T00:00:00Z",
             )
         )
     truth = CorpusTruth(
@@ -258,14 +258,13 @@ def _escape(text: str) -> str:
 
 
 def page_xml(page: WikiPage, include_ns: bool = True) -> str:
+    """One ``<page>`` element. Its revision carries the timestamp the export
+    schema requires, one fixed date for every page: no reader keeps it."""
     parts = ["  <page>\n", f"    <title>{_escape(page.title)}</title>\n"]
     if include_ns:
         parts.append(f"    <ns>{page.namespace}</ns>\n")
     parts.append("    <revision>\n")
-    if page.revision_timestamp:
-        parts.append(
-            f"      <timestamp>{_escape(page.revision_timestamp)}</timestamp>\n"
-        )
+    parts.append(f"      <timestamp>{REVISION_TIMESTAMP}</timestamp>\n")
     parts.append(f"      <text>{_escape(page.text)}</text>\n")
     parts.append("    </revision>\n  </page>\n")
     return "".join(parts)
@@ -352,7 +351,6 @@ class StreamingDumpSource:
             title=f"Bench Page {index}",
             namespace=0,
             text=body,
-            revision_timestamp="2007-04-02T00:00:00Z",
         )
         encoded = page_xml(page, include_ns=index % 3 != 0).encode("utf-8")
         if len(encoded) > self.largest_page_bytes:

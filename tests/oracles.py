@@ -61,9 +61,15 @@ def _skip_spaces(text: str, i: int) -> int:
     return i
 
 
-def _hidden_end(text: str, i: int) -> int:
-    """Where the comment or nowiki construct starting at ``i`` ends, or -1
-    when none starts there."""
+# What _hidden_end returns for a nowiki tag with no ">" after its name.
+_NO_GT = -2
+
+
+def _hidden_end(text: str, i: int, no_more_gt: bool) -> int:
+    """Where the comment or nowiki construct starting at ``i`` ends, -1
+    when none starts there, or ``_NO_GT`` for a nowiki tag that finds no
+    ``>``. With ``no_more_gt``, set once a tag has found none, no nowiki tag
+    is looked for: none after that one can find a ``>`` either."""
     n = len(text)
     if text[i] != "<":
         return -1
@@ -74,7 +80,7 @@ def _hidden_end(text: str, i: int) -> int:
                 return j + 3
             j += 1
         return n
-    if not _nowiki_name_at(text, i + 1):
+    if no_more_gt or not _nowiki_name_at(text, i + 1):
         return -1
     # The name ends at a space, "/>" or ">"; the tag runs on to the first
     # ">", and closes itself when a "/" comes right before it.
@@ -84,7 +90,7 @@ def _hidden_end(text: str, i: int) -> int:
     while j < n and text[j] != ">":
         j += 1  # attributes
     if j == n:
-        return -1
+        return _NO_GT
     if text[j - 1] == "/":
         return j + 1  # self-closing
     j += 1
@@ -101,11 +107,15 @@ def mask_hidden_spans_by_walk(text: str) -> str:
     """Blank out comments and nowiki spans, preserving every offset, by
     walking the text one character at a time. Whichever construct opens
     first hides everything up to its end, so a nowiki tag inside a comment,
-    or a comment opener inside a nowiki span, is text."""
+    or a comment opener inside a nowiki span, is text. As in MediaWiki's
+    preprocessor (its ``noMoreGT``), a tag that finds no ``>`` stops the
+    search for later ones, so the walk takes linear time on such tags."""
     out = []
     i = 0
+    no_more_gt = False
     while i < len(text):
-        end = _hidden_end(text, i)
+        end = _hidden_end(text, i, no_more_gt)
+        no_more_gt = no_more_gt or end == _NO_GT
         if end < 0:
             out.append(text[i])
             i += 1

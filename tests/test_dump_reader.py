@@ -26,9 +26,9 @@ def test_empty_dump_yields_nothing():
 
 def test_three_pages_roundtrip(tmp_path):
     pages = [
-        WikiPage("Alpha", 0, "first page text", "2007-01-01T00:00:00Z"),
-        WikiPage("Beta", 0, "second page, with {{markup}} & <tags>", None),
-        WikiPage("Gamma", 0, "", "2007-03-01T12:34:56Z"),
+        WikiPage("Alpha", 0, "first page text"),
+        WikiPage("Beta", 0, "second page, with {{markup}} & <tags>"),
+        WikiPage("Gamma", 0, ""),
     ]
     path = tmp_path / "dump.xml"
     with open(path, "w", encoding="utf-8") as fp:
@@ -80,7 +80,6 @@ def test_multiple_revisions_take_last_in_document_order():
     """
     (page,) = open_dump(_dump_bytes(body))
     assert page.text == "new"
-    assert page.revision_timestamp == "2007-01-01T00:00:00Z"
 
 
 def test_missing_title_is_skipped_and_tallied():
@@ -161,7 +160,7 @@ def test_namespace_prefixed_element_names():
         "</mw:mediawiki>"
     )
     (page,) = open_dump(io.BytesIO(document.encode("utf-8")))
-    assert page == WikiPage("Banksia", 4, "t", "2007-01-01T00:00:00Z")
+    assert page == WikiPage("Banksia", 4, "t")
 
 
 def test_non_integer_ns_falls_back_to_the_title_prefix():

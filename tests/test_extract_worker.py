@@ -10,6 +10,7 @@ make the worker take many of them.
 from __future__ import annotations
 
 import atexit
+import errno
 import io
 import marshal
 import os
@@ -69,19 +70,26 @@ def fixture_dump(tmp_path_factory):
 
 
 def _force(monkeypatch, worker: bool, batch_chars: int | None = None) -> list:
-    """Force one path; for the worker, return the list its forks land in."""
-    forks: list = []
+    """Force one path; return the list the worker's pid lands in."""
     monkeypatch.setattr(cli, "_use_worker", lambda: worker)
     if batch_chars is not None:
         monkeypatch.setattr(cli, "_FIRST_BATCH_CHARS", batch_chars)
         monkeypatch.setattr(cli, "_BATCH_CHARS", batch_chars)
-    init = cli._CitationWorker.__init__
+    return _record_forks(monkeypatch)
 
-    def recording_init(self):
-        init(self)
-        forks.append(self.pid)
 
-    monkeypatch.setattr(cli._CitationWorker, "__init__", recording_init)
+def _record_forks(monkeypatch) -> list:
+    """The list each child's pid lands in, as ``os.fork`` returns it."""
+    forks: list = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
     return forks
 
 
@@ -227,3 +235,50 @@ def test_worker_leaves_without_running_exit_handlers(fixture_dump, tmp_path, mon
     finally:
         atexit.unregister(note_exit)
     assert not marker.exists()
+
+
+@pytest.mark.parametrize(
+    "cpus, has_fork, worker",
+    [({0}, True, False), ({0, 1}, True, True), ({0, 1}, False, False)],
+    ids=["one-cpu", "two-cpus", "no-fork"],
+)
+def test_worker_runs_where_fork_and_two_cpus_are(
+    fixture_dump, tmp_path, monkeypatch, cpus, has_fork, worker
+):
+    """``_use_worker`` itself, unpatched: one CPU or no ``os.fork`` runs
+    serially, two CPUs fork the worker."""
+    forks = _record_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    assert cli._use_worker() is worker
+    with _deadline(60):
+        assert main(["extract", "--dump", str(fixture_dump), "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == worker
+
+
+def test_failed_write_kills_and_reaps_the_worker(fixture_dump, tmp_path, monkeypatch, capsys):
+    """A write that fails leaves the worker's results unread: the worker is
+    killed and reaped, and the run leaves no output."""
+    forks = _force(monkeypatch, True, 1)
+    reaped = []
+    waitpid = os.waitpid
+
+    def failing_write_jsonl(records, fp):
+        if records:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return 0
+
+    def recording_waitpid(pid, options):
+        result = waitpid(pid, options)
+        reaped.append((result[0], os.waitstatus_to_exitcode(result[1])))
+        return result
+
+    monkeypatch.setattr(cli, "write_jsonl", failing_write_jsonl)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    out = tmp_path / "out"
+    with _deadline(60):
+        assert main(["extract", "--dump", str(fixture_dump), "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert reaped == [(forks[0], -signal.SIGKILL)]
+    assert os.listdir(out) == []

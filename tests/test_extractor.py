@@ -1,6 +1,7 @@
 import io
 import json
 import pickle
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -338,8 +339,8 @@ def test_read_jsonl_names_the_bad_line(bad):
 
 def test_pages_survive_pickle():
     """The ``count --jobs`` pool ships pages to its workers."""
-    dated = WikiPage("Dated", 0, "{{cite journal|journal=Nature}}", "2007-04-02T00:00:00Z")
-    for wiki_page in (page("text"), dated):
+    talk = WikiPage("Talk:T", 1, "{{cite journal|journal=Nature}}")
+    for wiki_page in (page("text"), talk):
         assert pickle.loads(pickle.dumps(wiki_page)) == wiki_page
 
 
@@ -512,6 +513,7 @@ _mask_fragments = st.sampled_from(
         '<nowiki a="1"/>',
         "<nowiki / >",
         "<nowiki/ >",
+        "<nowiki ",
         "<nowikix>",
         "</nowiki",
         "<now",
@@ -544,6 +546,27 @@ _mask_fragments = st.sampled_from(
 @example('<nowiki a="1"/>{{x}} <nowiki / >{{y}}')
 def test_mask_matches_walk_oracle(text):
     assert mask_hidden_spans(text) == mask_hidden_spans_by_walk(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<nowiki " * 8192,
+        "<nowiki>a</nowiki> " + "<nowiki " * 8192 + "<!-- c",
+        "<!-- a > " + "<nowiki " * 8192,
+        "<nowiki>a > " + "<nowiki " * 8192,
+        "<nowiki a>" + "<nowiki " * 8192,
+    ],
+    ids=["openers", "comment-after", "open-comment", "open-nowiki", "closed-first"],
+)
+def test_openers_with_no_closing_bracket_mask_in_linear_time(text):
+    """As MediaWiki's ``noMoreGT`` rule has it, once one nowiki opener finds
+    no ``>``, no later one looks again: 64 KB of such openers mask in one
+    pass over the text, not one per opener."""
+    start = time.perf_counter()
+    masked = mask_hidden_spans(text)
+    assert time.perf_counter() - start < 0.25
+    assert masked == mask_hidden_spans_by_walk(text)
 
 
 # Non-ASCII text for the journal-only scan's key search: letters that look
