@@ -120,6 +120,10 @@ class InsufficientDataError(Exception):
     pass
 
 
+class InputError(Exception):
+    pass
+
+
 class OutputError(Exception):
     pass
 
@@ -136,12 +140,17 @@ class _HashingReader(io.RawIOBase):
     """One input, read as a binary stream that digests bytes as they are
     read, so the input is hashed in the same single pass that parses it.
     It reads ``stream`` if given, else the file ``path_label``, which it
-    opens once and closes; a given stream, such as stdin, is left open."""
+    opens once and closes; a given stream, such as stdin, is left open.
+    Failing to open or read it is an InputError that starts with its path,
+    even where it is read inside an output's block."""
 
     _owns_stream = False  # for close(), which io's finalizer calls even if __init__ raised
 
     def __init__(self, path_label: str, stream=None):
-        self._stream = open(path_label, "rb") if stream is None else stream
+        try:
+            self._stream = open(path_label, "rb") if stream is None else stream
+        except OSError as exc:
+            raise InputError(f"{path_label}: {exc}") from exc
         self._owns_stream = stream is None
         self._digest = hashlib.sha256()
         self.path_label = path_label
@@ -151,7 +160,10 @@ class _HashingReader(io.RawIOBase):
         return True
 
     def read(self, n: int = -1) -> bytes:
-        chunk = self._stream.read(n)
+        try:
+            chunk = self._stream.read(n)
+        except OSError as exc:
+            raise InputError(f"{self.path_label}: {exc}") from exc
         self._digest.update(chunk)
         self.bytes_read += len(chunk)
         return chunk
@@ -396,7 +408,7 @@ class _Run:
     write; each is written as ``<name>.partial`` and renamed to ``name``
     only once complete, so a failed run leaves no partial file under a
     final name, and the manifest lists exactly the files written. Failing
-    to make, open or rename an output is an OutputError."""
+    to make, open, write or rename an output is an OutputError naming it."""
 
     def __init__(self, out_arg: str):
         self.dir = Path(out_arg)
@@ -447,14 +459,12 @@ class _Run:
         try:
             with fp:
                 yield fp
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
-        try:
             os.replace(partial, path)
-        except OSError as exc:
+        except BaseException as exc:
             partial.unlink(missing_ok=True)
-            raise OutputError(f"{path}: {exc}") from exc
+            if isinstance(exc, OSError):  # reading an input raises InputError
+                raise OutputError(f"{path}: {exc}") from exc
+            raise
         self.names.append(name)
 
     def write(self, name: str, writer, *args) -> None:
@@ -827,8 +837,9 @@ def main(argv=None) -> int:
         print(f"wikicite: insufficient data: {exc}", file=sys.stderr)
         return EXIT_DATA
     # Every input-format error except DumpParseError is a ValueError; an
-    # output that cannot be made, opened or renamed exits 2 as well.
-    except (OutputError, DumpParseError, ValueError, OSError) as exc:
+    # input that cannot be read or an output that cannot be written exits 2
+    # as well.
+    except (InputError, OutputError, DumpParseError, ValueError, OSError) as exc:
         kind = "output" if isinstance(exc, OutputError) else "input"
         print(f"wikicite: {kind} error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -102,6 +102,7 @@ class DumpReader:
         parser.StartElementHandler = self._start_element
         parser.EndElementHandler = self._end_element
         parser.CharacterDataHandler = self._char_data
+        parser.StartDoctypeDeclHandler = self._doctype
         self._parser = parser
 
     def __iter__(self) -> Iterator[WikiPage]:
@@ -140,17 +141,26 @@ class DumpReader:
 
     # expat handlers -------------------------------------------------
 
+    def _refuse(self, message: str) -> DumpParseError:
+        parser = self._parser
+        return DumpParseError(
+            message,
+            parser.CurrentByteIndex,
+            parser.CurrentLineNumber,
+            parser.CurrentColumnNumber,
+        )
+
+    def _doctype(self, name, sysid, pubid, has_internal_subset) -> None:
+        # MediaWiki exports carry no DTD, and one could declare entities
+        # that multiply the text a few bytes of dump hold.
+        raise self._refuse("document type declarations are refused")
+
     def _start_element(self, name: str, attrs) -> None:
         if ":" in name:
             name = name.rpartition(":")[2]
         if not self._saw_root:
             if name != "mediawiki":
-                raise DumpParseError(
-                    f"not a MediaWiki export (root element {name!r})",
-                    self._parser.CurrentByteIndex,
-                    self._parser.CurrentLineNumber,
-                    self._parser.CurrentColumnNumber,
-                )
+                raise self._refuse(f"not a MediaWiki export (root element {name!r})")
             self._saw_root = True
             return
         if name == "page":

@@ -24,7 +24,9 @@ def no_child_process_left():
 
 # acceptance reporting -------------------------------------------------
 
-_acceptance_lines: dict[str, str] = {}
+# Each criterion's PASS/FAIL/SKIP line, then the figures it recorded with
+# ``record_property``, one indented ``name: value`` line each.
+_acceptance_lines: dict[str, tuple[str, list]] = {}
 
 
 def pytest_runtest_logreport(report):
@@ -32,11 +34,10 @@ def pytest_runtest_logreport(report):
         return
     name = report.nodeid.split("::")[-1]
     if report.when == "call":
-        _acceptance_lines[name] = "PASS" if report.passed else (
-            "SKIP" if report.skipped else "FAIL"
-        )
+        status = "PASS" if report.passed else ("SKIP" if report.skipped else "FAIL")
+        _acceptance_lines[name] = (status, report.user_properties)
     elif report.when == "setup" and (report.skipped or report.failed):
-        _acceptance_lines[name] = "SKIP" if report.skipped else "FAIL"
+        _acceptance_lines[name] = ("SKIP" if report.skipped else "FAIL", [])
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -44,4 +45,7 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.section("acceptance criteria")
     for name in sorted(_acceptance_lines):
-        terminalreporter.write_line(f"{name}: {_acceptance_lines[name]}")
+        status, figures = _acceptance_lines[name]
+        terminalreporter.write_line(f"{name}: {status}")
+        for key, value in figures:
+            terminalreporter.write_line(f"    {key}: {value}")

@@ -11,11 +11,8 @@ import bz2
 import json
 import os
 import random
-import subprocess
-import sys
 import time
 from datetime import date
-from pathlib import Path
 
 import pytest
 
@@ -38,12 +35,11 @@ from wikicite.bibliometrics import (
 from wikicite.cli import main
 from wikicite.dump_reader import filter_namespaces, open_dump
 from wikicite.extractor import scan_page
-from wikicite.fixtures import build_corpus
+from wikicite.fixtures import StreamingDumpSource, build_corpus
 from wikicite.registry import load_registry
 
+from launch import launch
 from oracles import brute_pair_counts, brute_tau, exact_p_by_enumeration
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -79,32 +75,58 @@ def test_c1_extractor_fixture_suite(acceptance_corpus):
     assert elapsed < 5.0
 
 
+C2_COMMANDS = {
+    "count --dump -": ["count", "--dump", "-"],
+    "extract --dump -": ["extract", "--dump", "-"],
+}
+
+
 @pytest.mark.parametrize("sizes_mb", [(100, 500, 1024)])
-def test_c2_streaming_bound_and_linearity(sizes_mb):
-    """Peak memory under 64 MB plus the largest page; wall time per byte
-    constant within 20 percent across 100 MB / 500 MB / 1 GB runs."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    reports = []
+def test_c2_streaming_bound_and_linearity(sizes_mb, tmp_path, record_property):
+    """``count --dump -`` and ``extract --dump -``, each run as the shipped
+    CLI in a child process fed a synthesized dump through a pipe at
+    100 MB / 500 MB / 1 GB: every process, extract's worker included, peaks
+    under 64 MB plus the largest page; each command's wall time per byte is
+    constant within 20 percent; the outputs are not empty, and extract
+    writes one record per template that count tallies."""
+    budget = 64 << 20
+    rates, outs = {}, {}
+    for command, argv in C2_COMMANDS.items():
+        for size in sizes_mb:
+            source = StreamingDumpSource(size << 20, seed=0)
+            out = tmp_path / f"{argv[0]}-{size}"
+            report = launch([*argv, "--out", str(out)], source)
+            bound = budget + source.largest_page_bytes
+            worker = report["children_peak_kb"]
+            record_property(
+                f"{command} at {size} MB",
+                f"{source.bytes_emitted / report['elapsed_s'] / (1 << 20):.1f} MB/s; peak "
+                f"{report['peak_kb'] / 1024:.1f} MB, worker "
+                + (f"{worker / 1024:.1f} MB" if worker else "none")
+                + f"; bound {bound / (1 << 20):.1f} MB",
+            )
+            # Checked before the next, larger run starts.
+            assert report["exit"] == 0, (command, size, report["stderr"])
+            manifest = json.loads((out / "manifest.json").read_bytes())
+            assert manifest["inputs"]["dump"]["bytes"] == source.bytes_emitted, (command, size)
+            assert report["peak_kb"] * 1024 < bound, (command, size, report)
+            assert worker * 1024 < bound, (command, size, report)
+            rates[command, size] = report["elapsed_s"] / source.bytes_emitted
+            outs[command, size] = out
+
     for size in sizes_mb:
-        proc = subprocess.run(
-            [sys.executable, "-m", "wikicite.bench", "--megabytes", str(size)],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        reports.append(json.loads(proc.stdout))
+        counts = json.loads((outs["count --dump -", size] / "counts.json").read_bytes())
+        extract_out = outs["extract --dump -", size]
+        summary = json.loads((extract_out / "extract_summary.json").read_bytes())
+        assert counts["template_total"] > 0
+        assert (extract_out / "citations.jsonl").stat().st_size > 0
+        assert summary["records"] == counts["template_total"], size
 
-    budget = 64 * (1 << 20)
-    for report in reports:
-        rss_bytes = report["max_rss_kb"] * 1024
-        assert rss_bytes < budget + report["largest_page_bytes"], report
-        assert report["citations"] > 0
-
-    rates = [r["elapsed_s"] / r["bytes"] for r in reports]
-    mean_rate = sum(rates) / len(rates)
-    for rate in rates:
-        assert abs(rate - mean_rate) / mean_rate <= 0.20, rates
+    for command in C2_COMMANDS:
+        command_rates = [rates[command, size] for size in sizes_mb]
+        mean_rate = sum(command_rates) / len(command_rates)
+        for rate in command_rates:
+            assert abs(rate - mean_rate) / mean_rate <= 0.20, (command, command_rates)
 
 
 def test_c3_kendall_oracle_equivalence():

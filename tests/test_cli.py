@@ -30,6 +30,8 @@ from wikicite.extractor import read_jsonl, scan_page
 from wikicite.fixtures import build_corpus, dump_xml, write_dump
 from wikicite.registry import load_default_registry, load_registry
 
+from test_dump_reader import ENTITY_DUMP
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -1336,6 +1338,23 @@ class TestInputErrorsNameTheirFile:
             assert os.listdir(out) == []
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["count"], ["extract"], ["correlate", "--jcr", "jcr.csv"]],
+                             ids=["count", "extract", "correlate"])
+    def test_dump_with_a_dtd_is_refused(self, tmp_path, monkeypatch, capsys, command):
+        """A DTD whose entities would inflate one citation into 10,000 is
+        refused with its line, and no output is written."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "jcr.csv").write_text("journal,total_citations,impact_factor,articles\n",
+                                          encoding="utf-8")
+        dump = tmp_path / "entities.xml"
+        dump.write_bytes(ENTITY_DUMP)
+        out = tmp_path / "out"
+        assert main([*command, "--dump", str(dump), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"wikicite: input error: {dump}: document type declarations are refused" in err
+        assert "line 2, column" in err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_bad_jcr_leaves_no_out_directory(self, tmp_path, capsys):
         _, counts_path, jcr_path, _ = _write_counts_and_jcr(tmp_path)

@@ -122,6 +122,32 @@ def test_non_mediawiki_root_rejected():
         list(open_dump(io.BytesIO(b"<html><body/></html>")))
 
 
+# Five levels of ten references expand one citation into 10,000.
+ENTITY_DUMP = (
+    '<?xml version="1.0"?>\n<!DOCTYPE mediawiki [\n'
+    '<!ENTITY e0 "{{cite journal|journal=Nature}}">\n'
+    + "".join(f'<!ENTITY e{i} "{f"&e{i - 1};" * 10}">\n' for i in range(1, 5))
+    + "]>\n<mediawiki><page><title>A</title><ns>0</ns>"
+    "<revision><text>&e4;</text></revision></page></mediawiki>\n"
+).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [(ENTITY_DUMP, 2), (b"<!DOCTYPE mediawiki>\n<mediawiki></mediawiki>", 1)],
+    ids=["entities", "bare"],
+)
+def test_document_type_declaration_refused(data, line):
+    """MediaWiki exports carry no DTD: one that declares entities, or none,
+    is refused at its line before any page is read."""
+    reader = open_dump(io.BytesIO(data))
+    with pytest.raises(DumpParseError, match="document type declarations are refused") as excinfo:
+        next(reader)
+    assert excinfo.value.line == line
+    assert f"line {line}, column " in str(excinfo.value)
+    assert reader.pages_seen == 0
+
+
 def test_document_order_preserved():
     pages = [WikiPage(f"Page {i:03d}", 0, f"text {i}") for i in range(25)]
     stream = io.BytesIO(dump_xml(pages).encode("utf-8"))

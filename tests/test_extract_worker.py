@@ -282,3 +282,60 @@ def test_failed_write_kills_and_reaps_the_worker(fixture_dump, tmp_path, monkeyp
     assert "No space left on device" in capsys.readouterr().err
     assert reaped == [(forks[0], -signal.SIGKILL)]
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("worker", [False, True], ids=["serial", "worker"])
+def test_failed_write_names_the_output(fixture_dump, tmp_path, monkeypatch, capsys, worker):
+    """An OSError while ``citations.jsonl`` is written is an output error
+    naming it, on either path, and leaves no file in ``--out``."""
+
+    def failing_write_jsonl(records, fp):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    forks = _force(monkeypatch, worker, 1)
+    monkeypatch.setattr(cli, "write_jsonl", failing_write_jsonl)
+    out = tmp_path / "out"
+    with _deadline(60):
+        assert main(["extract", "--dump", str(fixture_dump), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"wikicite: output error: {out / 'citations.jsonl'}: [Errno 28] No space left" in err
+    assert len(forks) == worker
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("worker", [False, True], ids=["serial", "worker"])
+def test_failed_dump_read_names_the_dump(fixture_dump, tmp_path, monkeypatch, capsys, worker):
+    """An OSError from the dump partway through the run, read inside the
+    block that writes ``citations.jsonl``, is an input error naming the
+    dump, and leaves no file in ``--out``."""
+    data = fixture_dump.read_bytes()
+
+    class FailingDump(io.BytesIO):
+        def read(self, n=-1):
+            if self.tell() >= len(data) // 2:
+                raise OSError(errno.EIO, "Input/output error")
+            return super().read(n)
+
+    def dump_open(file, *args, **kwargs):
+        if os.fspath(file) == str(fixture_dump):
+            return FailingDump(data)
+        return open(file, *args, **kwargs)
+
+    forks = _force(monkeypatch, worker, 1)
+    monkeypatch.setattr(cli, "open", dump_open, raising=False)
+    written = []
+    write_jsonl = cli.write_jsonl
+
+    def recording_write_jsonl(records, fp):
+        written.append(len(records))
+        return write_jsonl(records, fp)
+
+    monkeypatch.setattr(cli, "write_jsonl", recording_write_jsonl)
+    out = tmp_path / "out"
+    with _deadline(60):
+        assert main(["extract", "--dump", str(fixture_dump), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"wikicite: input error: {fixture_dump}: [Errno 5] Input/output error" in err
+    assert len(forks) == worker
+    assert sum(written) > 0  # it failed partway, after some records were written
+    assert os.listdir(out) == []
