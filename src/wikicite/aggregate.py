@@ -1,14 +1,15 @@
 """Fold citation records into per-journal counts.
 
-Count tables are mergeable partial results: ``merge`` is a pointwise sum and
-is associative and commutative with the empty table as identity. So any
-map-reduce plan over page shards gives the same table as a single pass, as
-long as the corpus holds at most ``unknown_cap`` distinct unknown strings.
-Past that cap a single pass spills each further string into
-``unknown_overflow``, while a shard spills only past its own cap: with a cap
-of 2, unknown strings A, B and C give 2 unknown and 1 overflow in one pass,
-but 3 unknown and 0 overflow merged from shards {A, B} and {C}. Every other
-field, and the sum of the unknown and overflow tallies, agree under any plan.
+Count tables are partial results that join in two ways. ``merge`` is a
+pointwise sum: associative and commutative, with the empty table as
+identity. It equals one pass only while the corpus holds at most
+``unknown_cap`` distinct unknown strings, since past that cap one pass
+spills each further string into ``unknown_overflow`` while a shard spills
+only past its own cap. ``merge_in_order`` joins the tables of consecutive
+runs of records, earlier first, and equals one pass over them all under
+any cap: it admits the later table's unknown strings in the order they
+were first seen. A later table that overflowed its own cap has lost that
+order, and for it ``merge_in_order`` says it cannot join.
 """
 
 from __future__ import annotations
@@ -172,6 +173,30 @@ def merge(a: CountTable, b: CountTable) -> CountTable:
         malformed_total=a.malformed_total + b.malformed_total,
         registry_fingerprint=a.registry_fingerprint,
     )
+
+
+def merge_in_order(
+    earlier: CountTable, later: CountTable, *, unknown_cap: int = DEFAULT_UNKNOWN_CAP
+) -> CountTable | None:
+    """The table of one pass over ``earlier``'s records and then ``later``'s,
+    each table tallied under ``unknown_cap``; None when ``later`` overflowed,
+    as its spilled strings can no longer be placed. A string of ``later``
+    that ``earlier`` holds adds to it; any other is admitted, in the order
+    ``later`` first saw it, while fewer than ``unknown_cap`` strings are
+    held, and spills into ``unknown_overflow`` once the cap is full."""
+    if later.unknown_overflow:
+        return None
+    table = merge(earlier._replace(unknown={}), later._replace(unknown={}))
+    unknown = dict(earlier.unknown)
+    overflow = table.unknown_overflow
+    for name, value in later.unknown.items():
+        if name in unknown:
+            unknown[name] += value
+        elif len(unknown) < unknown_cap:
+            unknown[name] = value
+        else:
+            overflow += value
+    return table._replace(unknown=unknown, unknown_overflow=overflow)
 
 
 def growth_report(

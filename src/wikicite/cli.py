@@ -21,6 +21,30 @@ moves. A pool that shipped every page out and every scan back, one task
 per page, lost to the serial scan: moving a page costs about as much as
 scanning it.
 
+``count --dump`` and ``correlate --dump`` split a dump file at page
+boundaries when ``--jobs`` is 1, ``--dump`` names a regular file,
+``os.fork`` exists and the process may run on two CPUs or more: one range
+per CPU, each at least ``_MIN_RANGE_BYTES``. Each range starts at the first
+``<page>`` after an even share of the file. The main process forks one part
+for each later range, and each part parses the file's header (the bytes
+before its first ``<page>``) and its own range, scans it and tallies it
+exactly as the serial path does. The main process does the same with the
+first range, and joins the tables in page order with
+``aggregate.merge_in_order``. The split is exact or not used:
+
+- Each part reports the SHA-256 of the bytes it parsed. The main process
+  reads the whole file in order for the manifest's digest, hashes each
+  later range again on the way, and exits 2 where a part's hash differs.
+- Where a range does not parse (a cut inside CDATA or a comment, a DTD, a
+  truncated file) or a later part overflowed its unknown cap, the dump is
+  tallied again serially, so a failing dump fails with serial's message.
+
+Elsewhere (stdin, one CPU, no ``fork``, a small file) the serial path runs.
+The outputs are byte-identical either way. Nothing but each part's table
+crosses between processes. ``count --jobs N`` above 1 runs a per-page
+process pool instead, kept only because the benchmark measures it: it
+loses to the serial path and to the split alike.
+
 Exit codes: 0 success, 1 usage error, 2 input-format or output error,
 3 data-insufficiency error.
 """
@@ -35,16 +59,18 @@ import json
 import marshal
 import os
 import signal
+import stat
 import sys
 from collections import deque
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from . import __version__
 from .aggregate import (
     CountTable,
     growth_report,
+    merge_in_order,
     read_counts_json,
     tally,
     tally_scans,
@@ -68,7 +94,8 @@ from .extractor import (
 from .registry import JournalRegistry, default_registry_bytes, load_registry, near_misses
 
 # Names only some commands use, bound into this module on first use so that
-# a command imports just what it runs: the process pool for count --jobs > 1,
+# a command imports just what it runs: the per-page process pool of
+# count --jobs > 1 (kept for the benchmark only; it loses to the default),
 # the statistics for correlate, the generator for gen-fixture, dates for growth.
 _DEFERRED = {
     "concurrent.futures.process": ("ProcessPoolExecutor",),
@@ -230,6 +257,11 @@ def parse_sweep(spec: str, limit: int) -> list[int]:
     return [n for _, lo, hi in entries for n in range(lo, hi + 1)]
 
 
+def _pages(reader: DumpReader, namespaces: set[int] | None) -> Iterable[WikiPage]:
+    """The pages of ``reader`` in ``namespaces``; every page for None."""
+    return reader if namespaces is None else filter_namespaces(reader, namespaces)
+
+
 def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
     """``count --dump``'s journal-only scans, fanned out to worker processes
     for ``jobs`` > 1, a pool kept only for the benchmark's pool metrics. The
@@ -260,12 +292,39 @@ _FIRST_BATCH_CHARS = 1 << 10
 _BATCH_CHARS = 1 << 16
 
 
+def _cpus() -> int:
+    """The CPUs forked processes may share: those this process may run on,
+    or 1 where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _use_worker() -> bool:
     """Whether ``extract`` forks its citation worker: where ``fork`` exists
     and the process may run on two CPUs at once."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return False
-    return len(os.sched_getaffinity(0)) >= 2
+    return _cpus() >= 2
+
+
+def _fork(child: Callable[[], None]) -> int:
+    """Fork a process that runs ``child`` and leaves by ``os._exit``: 0 once
+    ``child`` returns, 1 after writing the traceback of what it raised to
+    stderr. So it never runs the main process's exit handlers, flushes a
+    file it inherited or unwinds into the stack copied from the main
+    process. Returns the child's pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        child()
+        code = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
 
 
 def _citation_batches(pages: Iterable[WikiPage], counts: dict) -> Iterator[list]:
@@ -351,24 +410,15 @@ def _parsed_in_worker(batches: Iterable[list]) -> Iterator[tuple[list, int]]:
     and sent before the last one's result is handed back, so the worker
     parses while the caller writes. (The first result is empty.) The worker
     is killed if the batches fail or the generator is closed early, and is
-    always reaped; one that ends early or fails is an OutputError. It leaves
-    by ``os._exit``, so it never runs the main process's exit handlers or
-    flushes a file it inherited."""
+    always reaped; one that ends early or fails is an OutputError."""
     to_worker, from_worker = os.pipe(), os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(to_worker[1])
-            os.close(from_worker[0])
-            _serve(os.fdopen(to_worker[0], "rb"), os.fdopen(from_worker[1], "wb"))
-            code = 0
-        except BaseException:
-            import traceback
 
-            os.write(2, traceback.format_exc().encode("utf-8", "replace"))
-        finally:  # never unwind into the stack copied from the main process
-            os._exit(code)
+    def serve() -> None:
+        os.close(to_worker[1])
+        os.close(from_worker[0])
+        _serve(os.fdopen(to_worker[0], "rb"), os.fdopen(from_worker[1], "wb"))
+
+    pid = _fork(serve)
     os.close(to_worker[0])
     os.close(from_worker[1])
     sink, source = os.fdopen(to_worker[1], "wb"), os.fdopen(from_worker[0], "rb")
@@ -440,9 +490,8 @@ class _Run:
         stdin = sys.stdin.buffer if args.dump == "-" else None
         with _HashingReader(args.dump, stdin) as stream:
             reader = DumpReader(stream)
-            pages = reader if namespaces is None else filter_namespaces(reader, namespaces)
             try:
-                yield reader, pages
+                yield reader, _pages(reader, namespaces)
             except DumpParseError as exc:
                 exc.args = (f"{args.dump}: {exc}",)
                 raise
@@ -556,8 +605,237 @@ def _table_from_citations(run: _Run, path: str, registry: JournalRegistry) -> Co
 
 
 def _table_from_dump(run: _Run, args, registry: JournalRegistry, jobs: int = 1) -> CountTable:
+    """The table of ``--dump``: split across the CPUs where ``_split_table``
+    can, else serial."""
+    if jobs == 1 and args.dump != "-":
+        table = _split_table(run, args, registry)
+        if table is not None:
+            return table
     with run.dump(args) as (_, pages):
         return tally_scans(_scan_stream(pages, jobs), registry)
+
+
+# count --dump's ranges ----------------------------------------------
+
+# The smallest range worth a part. Below it, forking a part and hashing its
+# range again cost more than parsing the range in parallel saves: on a
+# 2-vCPU host, two ranges broke even at about 1 MB of dump on 4 KB
+# citation-dense pages and at 3-4 MB on 128 KB prose pages (see the README).
+_MIN_RANGE_BYTES = 2 << 20
+_READ_BYTES = 1 << 16
+_PAGE_START = b"<page>"
+# Closes each range but the last, whose own last bytes close the document.
+_ROOT_END = b"</mediawiki>"
+
+
+def _range_count(size: int) -> int:
+    """How many ranges a dump file of ``size`` bytes is split into: one per
+    CPU, each at least ``_MIN_RANGE_BYTES``."""
+    return max(1, min(_cpus(), size // _MIN_RANGE_BYTES))
+
+
+def _find_page(fd: int, start: int) -> int:
+    """The offset of the first ``<page>`` at or after ``start`` in the file
+    ``fd``, or -1."""
+    keep = len(_PAGE_START) - 1
+    while True:
+        window = os.pread(fd, _READ_BYTES, start)
+        found = window.find(_PAGE_START)
+        if found >= 0:
+            return start + found
+        if len(window) <= keep:
+            return -1
+        start += len(window) - keep
+
+
+def _range_starts(fd: int, size: int, ranges: int) -> tuple[int, list[int]]:
+    """Where the header ends, at the file's first ``<page>``, and where each
+    range after the first starts: at the first ``<page>`` after each even
+    share of the file, each past the one before. Fewer starts where the
+    pages run out."""
+    header_end = previous = _find_page(fd, 0)
+    starts: list[int] = []
+    for index in range(1, ranges):
+        if previous < 0:
+            break
+        previous = _find_page(fd, max(size * index // ranges, previous + 1))
+        if previous >= 0:
+            starts.append(previous)
+    return header_end, starts
+
+
+def _clean_header(header: bytes) -> bool:
+    """Whether ``header``, closed by ``_ROOT_END``, parses as a dump with
+    no page. Then it ends inside the root element and outside any page,
+    comment or CDATA section, as the serial parser is at each range start,
+    and it can open every range."""
+    reader = DumpReader(io.BytesIO(header + _ROOT_END))
+    try:
+        return next(reader, None) is None and reader.pages_seen == 0
+    except DumpParseError:
+        return False
+
+
+class _Chunks:
+    """A binary stream over byte chunks, as ``DumpReader`` reads one: each
+    read returns the next non-empty chunk, whatever its size, then b""."""
+
+    def __init__(self, chunks: Iterable[bytes]):
+        self._chunks = filter(None, chunks)
+
+    def read(self, n: int = -1) -> bytes:
+        return next(self._chunks, b"")
+
+
+def _read_range(read: Callable[[int], bytes], length: int | None, *digests) -> Iterator[bytes]:
+    """Chunks of ``read`` until ``length`` bytes, or the end for None, each
+    added to every one of ``digests``."""
+    while length is None or length > 0:
+        chunk = read(_READ_BYTES if length is None else min(_READ_BYTES, length))
+        if not chunk:
+            return
+        for digest in digests:
+            digest.update(chunk)
+        if length is not None:
+            length -= len(chunk)
+        yield chunk
+
+
+def _tally_range(chunks: Iterable[bytes], registry, namespaces) -> CountTable:
+    """The serial path's table of one range's bytes."""
+    pages = _pages(DumpReader(_Chunks(chunks)), namespaces)
+    return tally_scans(_scan_stream(pages, 1), registry)
+
+
+def _part(
+    fd: int, header: bytes, start: int, end: int | None, registry, namespaces, sink: int
+) -> None:
+    """One forked part: tally ``header`` and then the bytes of the file
+    ``fd`` from ``start`` to ``end`` (its end for None), closed by
+    ``_ROOT_END`` unless the range is the last, and send the SHA-256 of the
+    bytes parsed with the table's fields; or None where they do not parse
+    or cannot be read. It reads with ``pread``, so it never moves the file
+    offset it shares with the main process."""
+    offset = start
+
+    def read(n: int) -> bytes:
+        nonlocal offset
+        chunk = os.pread(fd, n, offset)
+        offset += len(chunk)
+        return chunk
+
+    def chunks() -> Iterator[bytes]:
+        yield header
+        yield from _read_range(read, None if end is None else end - start, digest)
+        if end is not None:
+            yield _ROOT_END
+
+    digest = hashlib.sha256(header)
+    try:
+        table = _tally_range(chunks(), registry, namespaces)
+        message = (digest.hexdigest(), tuple(table))
+    except (DumpParseError, OSError):
+        message = None
+    with os.fdopen(sink, "wb") as fp:
+        _send(fp, message)
+
+
+def _split_table(run: _Run, args, registry: JournalRegistry) -> CountTable | None:
+    """``--dump``'s table from ranges of the file tallied at once, one in
+    this process and one in each forked part, joined in page order; its
+    manifest entry is recorded. None where the split does not apply or a
+    range does not parse: then nothing is recorded, and the dump is to be
+    tallied serially. Every part is killed if the split fails or stops
+    early, and always reaped; one that ends without its table is an
+    OutputError, and a range whose bytes differ between its part and this
+    process's digest an InputError."""
+    namespaces = _parse_namespaces(args.namespaces)
+    try:
+        info = os.stat(args.dump)
+        if not stat.S_ISREG(info.st_mode) or _range_count(info.st_size) < 2:
+            return None
+        fp = open(args.dump, "rb")
+    except OSError:  # the serial path reports it
+        return None
+    pids: list[int] = []
+    sources: list[IO[bytes]] = []
+    affinity = os.sched_getaffinity(0)
+    try:
+        fd = fp.fileno()
+        size = os.fstat(fd).st_size
+        header_end, starts = _range_starts(fd, size, _range_count(size))
+        if not starts:
+            return None
+        header = os.pread(fd, header_end, 0)
+        if not _clean_header(header):
+            return None
+        ends: list[int | None] = [*starts[1:], None]
+        # One CPU for each process: a host that does not balance load would
+        # run every part on the CPU of the process that forked it.
+        cpus = sorted(affinity)
+        os.sched_setaffinity(0, {cpus[0]})
+        for index, (start, end) in enumerate(zip(starts, ends), 1):
+            source, sink = os.pipe()
+
+            def part(start=start, end=end, sink=sink, cpu=cpus[index % len(cpus)]) -> None:
+                os.sched_setaffinity(0, {cpu})
+                _part(fd, header, start, end, registry, namespaces, sink)
+
+            pids.append(_fork(part))
+            os.close(sink)
+            sources.append(os.fdopen(source, "rb"))
+
+        reader = _HashingReader(args.dump, fp)
+        header_digest = hashlib.sha256()
+
+        def own() -> Iterator[bytes]:
+            yield from _read_range(reader.read, header_end, header_digest)
+            yield from _read_range(reader.read, starts[0] - header_end)
+            yield _ROOT_END
+
+        try:
+            table = _tally_range(own(), registry, namespaces)
+        except DumpParseError:
+            return None
+        digests = []
+        for start, end in zip(starts, ends):
+            digest = header_digest.copy()
+            for _ in _read_range(reader.read, None if end is None else end - start, digest):
+                pass
+            digests.append(digest.hexdigest())
+        entry = reader.manifest_entry()
+
+        for index, (start, end) in enumerate(zip(starts, ends)):
+            try:
+                message, ended = _receive(sources[index]), False
+            except EOFError:
+                ended = True
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[index], 0)[1])
+            pids[index] = 0
+            if ended or status != 0:
+                raise OutputError(f"a dump part ended early (exit status {status})")
+            if message is None:
+                return None
+            digest, fields = message
+            if digest != digests[index]:
+                raise InputError(
+                    f"{args.dump}: bytes {start} to {size if end is None else end} "
+                    "changed while the dump was read"
+                )
+            table = merge_in_order(table, CountTable(*fields))
+            if table is None:
+                return None
+        run.inputs["dump"] = entry
+        return table
+    finally:
+        for source in sources:
+            source.close()
+        for pid in pids:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        os.sched_setaffinity(0, affinity)
+        fp.close()
 
 
 def _write_count_outputs(run: _Run, table: CountTable) -> None:
@@ -751,7 +1029,12 @@ def build_parser() -> _Parser:
         "--citations", default=None, help="citations.jsonl from a previous extract run"
     )
     p_count.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for --dump (default: 1)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for a per-page pool over --dump, kept for the benchmark "
+        "only: above 1 it is slower than the default, which splits a dump file at "
+        "page boundaries across the CPUs (default: 1)",
     )
     add_registry(p_count)
     p_count.add_argument(

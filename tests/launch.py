@@ -2,7 +2,9 @@
 report what it cost.
 
 :func:`launch` starts ``python launch.py ARGS...`` with a pipe as its stdin,
-writes a byte stream into the pipe, and returns the child's report. The
+writes a byte stream into the pipe, and returns the child's report. Given no
+stream, it starts the child with no stdin, for a command that reads a file
+named in ``ARGS``. The
 child runs ``wikicite.cli.main(ARGS)``, the function the installed
 ``wikicite`` script calls, and prints one JSON object on stdout:
 
@@ -13,9 +15,9 @@ child runs ``wikicite.cli.main(ARGS)``, the function the installed
   The kernel starts it afresh at exec, so unlike the child's ``ru_maxrss``
   it does not carry the RSS of the process that spawned the child;
 - ``children_peak_kb``: ``ru_maxrss`` of the processes main started and
-  waited for, ``extract``'s citation worker; 0 where it started none. The
-  worker is forked, not exec'd, so its figure counts what it shares with
-  the child and what it adds.
+  waited for, ``extract``'s citation worker or ``count --dump``'s parts; 0
+  where it started none. They are forked, not exec'd, so the figure counts
+  what they share with the child and what they add.
 
 :func:`launch` adds the child's stderr and ``spawned_maxrss_kb``, the
 child's ``ru_maxrss`` as ``wait4`` gives it to the spawning process: the
@@ -36,24 +38,26 @@ from pathlib import Path
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def launch(argv: list[str], source, chunk_bytes: int = 1 << 20) -> dict:
+def launch(argv: list[str], source=None, chunk_bytes: int = 1 << 20) -> dict:
     """Run ``wikicite argv`` in a child, writing ``source.read(chunk_bytes)``
-    into its stdin until it returns ``b""``. A child that stops reading
-    early is left to its exit code and report."""
+    into its stdin until it returns ``b""``, or with no stdin where
+    ``source`` is None. A child that stops reading early is left to its
+    exit code and report."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(
             [sys.executable, __file__, *argv],
-            stdin=subprocess.PIPE,
+            stdin=subprocess.DEVNULL if source is None else subprocess.PIPE,
             stdout=out,
             stderr=err,
             env=env,
         )
         try:
-            with proc.stdin:
-                while data := source.read(chunk_bytes):
-                    proc.stdin.write(data)
+            if source is not None:
+                with proc.stdin:
+                    while data := source.read(chunk_bytes):
+                        proc.stdin.write(data)
         except BrokenPipeError:
             pass
         _, status, usage = os.wait4(proc.pid, 0)

@@ -12,18 +12,22 @@ oracle resolves every record's journal, as both did before they took
 shortcuts for plain values and repeated strings. The masking oracle walks
 the text one character at a time and hides whichever comment or nowiki
 construct opens first, as MediaWiki's preprocessor reads them; it shares no
-pattern with the masker's single regex pass.
+pattern with the masker's single regex pass. The dump-reader oracle reads
+the document with ``xml.etree.ElementTree`` and takes each page's fields
+from its element tree, not from a stream of parser events.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
+import xml.etree.ElementTree as ET
 from collections import Counter
 
 from wikicite.aggregate import CountTable
-from wikicite.dump_reader import WikiPage
+from wikicite.dump_reader import NAMESPACE_PREFIXES, WikiPage
 from wikicite.extractor import (
     _QUOTE_MARKUP,
     _WIKILINK,
@@ -123,6 +127,42 @@ def mask_hidden_spans_by_walk(text: str) -> str:
             out.append(" " * (end - i))
             i = end
     return "".join(out)
+
+
+def pages_by_etree(data: bytes) -> tuple[list[WikiPage], int]:
+    """The pages of an export document, and how many were skipped for want
+    of a title, read with ``ElementTree.iterparse``. Each ``page`` child of
+    the root keeps the text of its ``title`` and ``ns`` children and the
+    ``text`` of its last ``revision`` ("" where it has none); a page whose
+    ``ns`` is missing or not an integer takes the namespace its title's
+    prefix names. Each page is cleared once read."""
+    pages: list[WikiPage] = []
+    skipped = 0
+    depth = 0
+    for event, elem in ET.iterparse(io.BytesIO(data), events=("start", "end")):
+        name = elem.tag.rpartition("}")[2]
+        if event == "start":
+            if depth == 0 and name != "mediawiki":
+                raise ValueError(f"root element {name!r}")
+            depth += 1
+            continue
+        depth -= 1
+        if name != "page" or depth != 1:
+            continue
+        title = elem.findtext("{*}title")
+        try:
+            namespace = int(elem.findtext("{*}ns").strip())
+        except (AttributeError, ValueError):
+            prefix, colon, _ = (title or "").partition(":")
+            namespace = NAMESPACE_PREFIXES.get(prefix, 0) if colon else 0
+        revisions = elem.findall("{*}revision")
+        text = revisions[-1].findtext("{*}text", "") if revisions else ""
+        elem.clear()
+        if title:
+            pages.append(WikiPage(title, namespace, text))
+        else:
+            skipped += 1
+    return pages, skipped
 
 
 def normalize_key_by_regex(raw: str) -> str:

@@ -14,6 +14,7 @@ from wikicite.aggregate import (
     from_json_dict,
     growth_report,
     merge,
+    merge_in_order,
     read_counts_json,
     tally,
     tally_scans,
@@ -150,6 +151,50 @@ def test_merge_identity_commutativity_associativity():
 def test_merge_fingerprint_mismatch():
     with pytest.raises(RegistryMismatchError):
         merge(CountTable.empty("a"), CountTable.empty("b"))
+    with pytest.raises(RegistryMismatchError):
+        merge_in_order(CountTable.empty("a"), CountTable.empty("b"))
+
+
+def test_merge_in_order_is_one_pass_where_merge_is_not(starter_registry):
+    """With a cap of 1, [Zq1, Zq2] then [Zq2, Zq2]: one pass keeps Zq1 and
+    spills the three Zq2. ``merge`` keeps both strings, breaking the cap;
+    ``merge_in_order`` gives the one-pass table."""
+    first, second = [record("Zq1"), record("Zq2")], [record("Zq2"), record("Zq2")]
+    whole = tally(first + second, starter_registry, unknown_cap=1)
+    assert (whole.unknown, whole.unknown_overflow) == ({"Zq1": 1}, 3)
+    earlier = tally(first, starter_registry, unknown_cap=1)
+    later = tally(second, starter_registry, unknown_cap=1)
+    assert merge(earlier, later).unknown == {"Zq1": 1, "Zq2": 2}
+    assert merge_in_order(earlier, later, unknown_cap=1) == whole
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_raw_journals, max_size=30),
+    st.lists(st.integers(0, 30), max_size=3),
+    st.integers(1, 4),
+)
+def test_merge_in_order_joins_any_split_as_one_pass(journals, cuts, cap):
+    """The tables of consecutive pieces of a record list, joined in order,
+    are the table of one pass over the list, unknown strings in the same
+    order, or the join says it cannot, where a later piece overflowed."""
+    records = [record(journal) for journal in journals]
+    bounds = sorted({min(cut, len(records)) for cut in cuts})
+    pieces = [records[a:b] for a, b in zip([0, *bounds], [*bounds, len(records)])]
+
+    def table(piece):
+        return tally(piece, _SMALL_REGISTRY, malformed_total=len(piece), unknown_cap=cap)
+
+    joined = table(pieces[0])
+    for piece in pieces[1:]:
+        later = table(piece)
+        joined = merge_in_order(joined, later, unknown_cap=cap)
+        if joined is None:
+            assert later.unknown_overflow > 0
+            return
+    whole = table(records)
+    assert joined == whole
+    assert list(joined.unknown) == list(whole.unknown)
 
 
 def test_partition_conservation_small(starter_registry):

@@ -1,15 +1,20 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wikicite.dump_reader import (
     DumpParseError,
+    DumpReader,
     WikiPage,
     filter_namespaces,
     infer_namespace,
     open_dump,
 )
 from wikicite.fixtures import dump_xml, write_dump
+
+from oracles import pages_by_etree
 
 EXPORT_OPEN = '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.3/">'
 
@@ -195,3 +200,98 @@ def test_non_integer_ns_falls_back_to_the_title_prefix():
         "<page><title>Banksia</title><ns> </ns><revision><text>t</text></revision></page>"
     )
     assert [p.namespace for p in open_dump(_dump_bytes(body))] == [1, 0]
+
+
+# generated dumps, checked against the ElementTree oracle -----------------
+
+_TEXT_PIECES = [
+    "{{cite journal|journal=Nature}}",
+    "{{Cite journal |journal=[[Science (journal)|Science]]}}",
+    "{{cite journal|journal=Zq Unknown}}",
+    "{{cite journal|journal=Nature",
+    "<!-- {{cite journal|journal=Comment Decoy}} -->",
+    "<nowiki>{{cite journal|journal=Nowiki Decoy}}</nowiki>",
+    "prose ",
+    "a & b < c > d ",
+    "\"quoted\" 'and' ",
+    "Gödel – 日本 𝔑 ",
+    "]]>",
+    "<page>",
+    "</text></revision></page>",
+    "\n",
+]
+_TITLES = [
+    None, "", "Alpha", "Talk:Alpha", "User:Beta", "Category:Gamma", "Gödel 𝔑", "x & y < z",
+]
+_NS = [None, "0", "1", "14", " 2 ", "x"]
+# A commented-out page: its <page> is no page, wherever a range is cut.
+_GHOST = (
+    "<!-- <page><title>Ghost</title><revision><text>{{cite journal|journal=Ghost}}</text>"
+    "</revision></page> -->\n"
+)
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _cdata(text: str) -> str:
+    return "<![CDATA[" + text.replace("]]>", "]]]]><![CDATA[>") + "]]>"
+
+
+@st.composite
+def _text_elements(draw) -> str:
+    """A revision's ``<text>``, written escaped, as CDATA, as both, or
+    deleted; or no ``<text>`` at all."""
+    text = "".join(draw(st.lists(st.sampled_from(_TEXT_PIECES), max_size=6)))
+    form = draw(st.sampled_from(["escaped", "cdata", "mixed", "deleted", "missing"]))
+    if form == "missing":
+        return ""
+    if form == "deleted":
+        return '<text deleted="deleted"/>'
+    half = len(text) // 2
+    body = {
+        "escaped": _escape(text),
+        "cdata": _cdata(text),
+        "mixed": _escape(text[:half]) + _cdata(text[half:]),
+    }[form]
+    return f'<text xml:space="preserve">{body}</text>'
+
+
+@st.composite
+def _pages(draw, index: int) -> str:
+    title, ns = draw(st.sampled_from(_TITLES)), draw(st.sampled_from(_NS))
+    parts = ["  <page>\n"]
+    if title is not None:
+        parts.append(f"    <title>{_escape(title)}</title>\n")
+    if ns is not None:
+        parts.append(f"    <ns>{ns}</ns>\n")
+    parts.append(f"    <id>{index}</id>\n")
+    for rev_id in range(draw(st.integers(0, 3))):
+        parts.append(f"    <revision><id>{rev_id}</id>{draw(_text_elements())}</revision>\n")
+    parts.append("  </page>\n")
+    if draw(st.integers(0, 9)) == 0:
+        parts.append(_GHOST)
+    return "".join(parts)
+
+
+@st.composite
+def dumps(draw) -> bytes:
+    """Small export documents of any schema version from 0.3 to 0.11: pages
+    with or without a title or ``<ns>``, in several namespaces, with zero
+    to three revisions, text escaped or in CDATA, cite, comment and nowiki
+    decoys, and ``<page>`` in text and in XML comments."""
+    version = draw(st.integers(3, 11))
+    header = (
+        f'<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.{version}/" xml:lang="en">\n'
+        "  <siteinfo><sitename>Generated</sitename></siteinfo>\n"
+    )
+    pages = [draw(_pages(index)) for index in range(draw(st.integers(0, 8)))]
+    return (header + "".join(pages) + "</mediawiki>\n").encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(dumps())
+def test_reader_matches_the_etree_oracle(data):
+    reader = DumpReader(io.BytesIO(data))
+    assert (list(reader), reader.pages_skipped) == pages_by_etree(data)
