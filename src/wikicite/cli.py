@@ -10,40 +10,37 @@ never leaves a partial stage file for the next stage to accept, and
 ``--out`` is made on the first write. Outputs are byte-identical across
 repeated runs on identical inputs.
 
-``extract`` runs one loop: it reads, digests and parses the dump, finds
-each page's ``cite journal`` spans and batches the text of each outermost
-citation; one function splits a batch's citations into records; and the
-main process writes them in page order. The batches reach that function in
-a forked worker when ``os.fork`` exists and the process may run on two
-CPUs, and in-process otherwise; the outputs are identical either way. Only
-citation text is sent, so the hand-off costs little next to the parsing it
-moves. A pool that shipped every page out and every scan back, one task
-per page, lost to the serial scan: moving a page costs about as much as
-scanning it.
-
-``count --dump`` and ``correlate --dump`` split a dump file at page
-boundaries when ``--jobs`` is 1, ``--dump`` names a regular file,
-``os.fork`` exists and the process may run on two CPUs or more: one range
-per CPU, each at least ``_MIN_RANGE_BYTES``. Each range starts at the first
-``<page>`` after an even share of the file. The main process forks one part
-for each later range, and each part parses the file's header (the bytes
-before its first ``<page>``) and its own range, scans it and tallies it
-exactly as the serial path does. The main process does the same with the
-first range, and joins the tables in page order with
-``aggregate.merge_in_order``. The split is exact or not used:
+The dump commands read a dump one page at a time: ``extract`` scans each
+page and writes its records, ``count --dump`` and ``correlate --dump`` scan
+each page for its journals and tally them. All three share one parallel
+path. Where ``--dump`` names a regular file, ``os.fork`` exists and the
+process may run on two CPUs or more (for ``count``, with ``--jobs`` 1), the
+file is cut at page boundaries into one range per CPU, each at least
+``_MIN_RANGE_BYTES`` and starting at the first ``<page>`` after an even
+share of the file. The main process forks one part for each later range,
+each process bound to a CPU of its own, and each part reads the file's
+header (the bytes before its first ``<page>``) and its own range with the
+serial loop; the main process does the same with the first range. ``count``
+and ``correlate`` join the tables in page order with
+``aggregate.merge_in_order``. ``extract`` writes its own range's records
+straight to ``citations.jsonl``, then appends each part's, which the part
+wrote to an unlinked temporary file in ``--out``, and sums the summary's
+counters. The split is exact or not used:
 
 - Each part reports the SHA-256 of the bytes it parsed. The main process
   reads the whole file in order for the manifest's digest, hashes each
   later range again on the way, and exits 2 where a part's hash differs.
 - Where a range does not parse (a cut inside CDATA or a comment, a DTD, a
   truncated file) or a later part overflowed its unknown cap, the dump is
-  tallied again serially, so a failing dump fails with serial's message.
+  read again serially, so a failing dump fails with serial's message.
 
-Elsewhere (stdin, one CPU, no ``fork``, a small file) the serial path runs.
-The outputs are byte-identical either way. Nothing but each part's table
-crosses between processes. ``count --jobs N`` above 1 runs a per-page
-process pool instead, kept only because the benchmark measures it: it
-loses to the serial path and to the split alike.
+Elsewhere (stdin, one CPU, no ``fork``, a small file) the serial loop runs.
+The outputs are byte-identical either way. No page text crosses between
+processes: each part reads its own bytes of the file, so the split runs
+expat in parallel too. ``count --jobs N`` above 1 runs a per-page process
+pool instead, kept only because the benchmark measures it: it pickles every
+page out and every scan back, and loses to the serial loop and to the split
+alike.
 
 Exit codes: 0 success, 1 usage error, 2 input-format or output error,
 3 data-insufficiency error.
@@ -62,7 +59,7 @@ import signal
 import stat
 import sys
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -81,16 +78,7 @@ from .aggregate import (
     write_unknown_csv,
 )
 from .dump_reader import DumpParseError, DumpReader, WikiPage, filter_namespaces
-from .extractor import (
-    PageScan,
-    find_citations,
-    mask_hidden_spans,
-    outermost_citations,
-    parse_citations,
-    read_jsonl,
-    scan_page,
-    write_jsonl,
-)
+from .extractor import PageScan, read_jsonl, scan_page, write_jsonl
 from .registry import JournalRegistry, default_registry_bytes, load_registry, near_misses
 
 # Names only some commands use, bound into this module on first use so that
@@ -282,172 +270,6 @@ def _scan_stream(pages: Iterable[WikiPage], jobs: int) -> Iterator[PageScan]:
             yield window.popleft().result()
 
 
-# extract's citation batches ----------------------------------------
-
-# Characters of citation text per batch. The first batch is small, so that
-# records stream out as soon as pages come, and each next one doubles up to
-# a size whose round trip costs little next to its parsing, yet whose last
-# batch, which the main process waits for, is short.
-_FIRST_BATCH_CHARS = 1 << 10
-_BATCH_CHARS = 1 << 16
-
-
-def _cpus() -> int:
-    """The CPUs forked processes may share: those this process may run on,
-    or 1 where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _use_worker() -> bool:
-    """Whether ``extract`` forks its citation worker: where ``fork`` exists
-    and the process may run on two CPUs at once."""
-    return _cpus() >= 2
-
-
-def _fork(child: Callable[[], None]) -> int:
-    """Fork a process that runs ``child`` and leaves by ``os._exit``: 0 once
-    ``child`` returns, 1 after writing the traceback of what it raised to
-    stderr. So it never runs the main process's exit handlers, flushes a
-    file it inherited or unwinds into the stack copied from the main
-    process. Returns the child's pid."""
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        child()
-        code = 0
-    except BaseException:
-        import traceback
-
-        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
-    finally:
-        os._exit(code)
-
-
-def _citation_batches(pages: Iterable[WikiPage], counts: dict) -> Iterator[list]:
-    """The find half of each page's scan, in page order, in batches for
-    :func:`_parse_batch`. A batch holds, for each page with a citation, its
-    title and, for each outermost citation, its page offset, its text and
-    the spans of the citations it holds, so the text in a batch is at most
-    its pages' even when citations nest. Each page and its dangling opens
-    are added to ``counts`` as it is read."""
-    batch: list = []
-    chars = 0
-    batch_chars = _FIRST_BATCH_CHARS
-    for page in pages:
-        counts["pages_scanned"] += 1
-        text = page.text
-        _, citations, dangling = find_citations(text)
-        counts["malformed_total"] += dangling
-        if not citations:
-            continue
-        groups = []
-        for start, end, spans in outermost_citations(citations):
-            groups.append((start, text[start:end], spans))
-            chars += end - start
-        batch.append((page.title, groups))
-        if chars >= batch_chars:
-            yield batch
-            batch, chars = [], 0
-            batch_chars = min(2 * batch_chars, _BATCH_CHARS)
-    if batch:
-        yield batch
-
-
-def _parse_batch(batch: list) -> tuple[list, int]:
-    """The parse half of each page's scan: a batch's records, in page
-    order, and the number of parameters that repeat a key. Each citation's
-    text is masked on its own, which gives the page mask's slice (see
-    ``outermost_citations``)."""
-    records: list = []
-    duplicates = 0
-    for title, groups in batch:
-        for base, span_text, citations in groups:
-            masked = mask_hidden_spans(span_text)
-            found, repeated = parse_citations(title, span_text, masked, citations, base)
-            records += found
-            duplicates += repeated
-    return records, duplicates
-
-
-def _send(fp: IO[bytes], value) -> None:
-    """One message: the length of ``value``'s marshal bytes, then the bytes."""
-    data = marshal.dumps(value)
-    fp.write(len(data).to_bytes(8, "little"))
-    fp.write(data)
-    fp.flush()
-
-
-def _receive(fp: IO[bytes]):
-    """The next message's value; EOFError where the stream ends, cleanly or not."""
-    head = fp.read(8)
-    size = int.from_bytes(head, "little")
-    data = fp.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise EOFError
-    return marshal.loads(data)
-
-
-def _serve(source: IO[bytes], sink: IO[bytes]) -> None:
-    """The worker's loop: each batch in, its :func:`_parse_batch` out, until
-    the main process closes its end. Records go back as plain tuples, as
-    marshal takes no named tuple."""
-    while True:
-        try:
-            batch = _receive(source)
-        except EOFError:
-            return
-        records, duplicates = _parse_batch(batch)
-        _send(sink, (list(map(tuple, records)), duplicates))
-
-
-def _parsed_in_worker(batches: Iterable[list]) -> Iterator[tuple[list, int]]:
-    """``map(_parse_batch, batches)``, run in a forked worker with one batch
-    in flight: the next batch is found while the worker parses the last,
-    and sent before the last one's result is handed back, so the worker
-    parses while the caller writes. (The first result is empty.) The worker
-    is killed if the batches fail or the generator is closed early, and is
-    always reaped; one that ends early or fails is an OutputError."""
-    to_worker, from_worker = os.pipe(), os.pipe()
-
-    def serve() -> None:
-        os.close(to_worker[1])
-        os.close(from_worker[0])
-        _serve(os.fdopen(to_worker[0], "rb"), os.fdopen(from_worker[1], "wb"))
-
-    pid = _fork(serve)
-    os.close(to_worker[0])
-    os.close(from_worker[1])
-    sink, source = os.fdopen(to_worker[1], "wb"), os.fdopen(from_worker[0], "rb")
-    ended_early = False
-    try:
-        in_flight = False
-        for batch in batches:
-            result = _receive(source) if in_flight else ([], 0)
-            _send(sink, batch)
-            in_flight = True
-            yield result
-        if in_flight:
-            yield _receive(source)
-    except (EOFError, BrokenPipeError):  # raised by the pipe alone
-        ended_early = True
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fp in (sink, source):
-            with suppress(BrokenPipeError):  # the unsent rest of a batch the worker never read
-                fp.close()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if ended_early:
-        raise OutputError(f"the citation worker ended early (exit status {status})")
-    if status != 0:
-        raise OutputError("the citation worker failed after its last batch")
-
-
 # a command's files --------------------------------------------------
 
 
@@ -547,20 +369,60 @@ def _load_registry_arg(run: _Run, registry_arg: str | None) -> JournalRegistry:
 # subcommands --------------------------------------------------------
 
 
-def cmd_extract(args, run: _Run) -> None:
+def _extract_pages(fp: IO[str], reader: DumpReader, pages: Iterable[WikiPage]) -> dict:
+    """Write the records of ``pages`` to ``fp``, page by page; the
+    ``extract_summary.json`` counters of what ``reader`` read."""
     counts = dict.fromkeys(("pages_scanned", "records", "malformed_total", "duplicate_params"), 0)
-    with run.dump(args) as (reader, pages), run.open("citations.jsonl") as fp:
-        batches = _citation_batches(pages, counts)
-        parsed = _parsed_in_worker(batches) if _use_worker() else map(_parse_batch, batches)
-        for records, duplicates in parsed:
-            counts["records"] += write_jsonl(records, fp)
-            counts["duplicate_params"] += duplicates
+    for page in pages:
+        scan = scan_page(page)
+        counts["pages_scanned"] += 1
+        counts["records"] += write_jsonl(scan.records, fp)
+        counts["malformed_total"] += scan.malformed
+        counts["duplicate_params"] += scan.duplicate_params
+    return {"pages_seen": reader.pages_seen, "pages_skipped": reader.pages_skipped, **counts}
 
-    summary = {"pages_seen": reader.pages_seen, "pages_skipped": reader.pages_skipped, **counts}
+
+def cmd_extract(args, run: _Run) -> None:
+    parts: list[IO[bytes]] = []  # each later range's lines, in an unlinked file in --out
+    with run.open("citations.jsonl") as fp:
+
+        def open_range(index: int) -> _RangeWork:
+            if index == 0:
+                return lambda reader, pages: _extract_pages(fp, reader, pages)
+            import tempfile  # only where the dump is split
+
+            part = tempfile.TemporaryFile(dir=run.dir)
+            parts.append(part)
+
+            def extract_part(reader: DumpReader, pages: Iterable[WikiPage]) -> dict:
+                sink = io.TextIOWrapper(part, encoding="utf-8")
+                summary = _extract_pages(sink, reader, pages)
+                sink.flush()
+                return summary
+
+            return extract_part
+
+        try:
+            summaries = _split_dump(run, args, open_range)
+            if summaries is None:
+                fp.seek(0)
+                fp.truncate()
+                with run.dump(args) as (reader, pages):
+                    summaries = [_extract_pages(fp, reader, pages)]
+            else:
+                fp.flush()
+                for part in parts:
+                    part.seek(0)
+                    fp.buffer.writelines(_read_range(part.read, None))
+        finally:
+            for part in parts:
+                part.close()
+
+    summary = {key: sum(each[key] for each in summaries) for key in summaries[0]}
     run.write("extract_summary.json", write_json, summary)
     print(
-        f"extract: pages={counts['pages_scanned']} records={counts['records']} "
-        f"malformed={counts['malformed_total']} skipped={reader.pages_skipped}",
+        f"extract: pages={summary['pages_scanned']} records={summary['records']} "
+        f"malformed={summary['malformed_total']} skipped={summary['pages_skipped']}",
         file=sys.stderr,
     )
 
@@ -605,17 +467,27 @@ def _table_from_citations(run: _Run, path: str, registry: JournalRegistry) -> Co
 
 
 def _table_from_dump(run: _Run, args, registry: JournalRegistry, jobs: int = 1) -> CountTable:
-    """The table of ``--dump``: split across the CPUs where ``_split_table``
-    can, else serial."""
-    if jobs == 1 and args.dump != "-":
-        table = _split_table(run, args, registry)
-        if table is not None:
-            return table
+    """The table of ``--dump``: its ranges tallied at once and joined in
+    page order where ``_split_dump`` can, else serial."""
+    if jobs == 1:
+
+        def tally_range(reader: DumpReader, pages: Iterable[WikiPage]) -> tuple:
+            return tuple(tally_scans(_scan_stream(pages, 1), registry))
+
+        tables = _split_dump(run, args, lambda index: tally_range)
+        if tables is not None:
+            table = CountTable(*tables[0])
+            for fields in tables[1:]:
+                table = merge_in_order(table, CountTable(*fields))
+                if table is None:  # a later range overflowed its unknown cap
+                    break
+            else:
+                return table
     with run.dump(args) as (_, pages):
         return tally_scans(_scan_stream(pages, jobs), registry)
 
 
-# count --dump's ranges ----------------------------------------------
+# a dump's ranges ---------------------------------------------------
 
 # The smallest range worth a part. Below it, forking a part and hashing its
 # range again cost more than parsing the range in parallel saves: on a
@@ -626,6 +498,58 @@ _READ_BYTES = 1 << 16
 _PAGE_START = b"<page>"
 # Closes each range but the last, whose own last bytes close the document.
 _ROOT_END = b"</mediawiki>"
+
+
+# One range's work, in whichever process reads the range: its value from
+# the reader of the range's bytes and the pages kept of what it reads.
+_RangeWork = Callable[[DumpReader, Iterable[WikiPage]], object]
+
+
+def _cpus() -> int:
+    """The CPUs forked processes may share: those this process may run on,
+    or 1 where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork(child: Callable[[], None]) -> int:
+    """Fork a process that runs ``child`` and leaves by ``os._exit``: 0 once
+    ``child`` returns, 1 after writing the traceback of what it raised to
+    stderr. So it never runs the main process's exit handlers, flushes a
+    file it inherited or unwinds into the stack copied from the main
+    process. Returns the child's pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        child()
+        code = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
+
+
+def _send(fp: IO[bytes], value) -> None:
+    """One message: the length of ``value``'s marshal bytes, then the bytes."""
+    data = marshal.dumps(value)
+    fp.write(len(data).to_bytes(8, "little"))
+    fp.write(data)
+    fp.flush()
+
+
+def _receive(fp: IO[bytes]):
+    """The next message's value; EOFError where the stream ends, cleanly or not."""
+    head = fp.read(8)
+    size = int.from_bytes(head, "little")
+    data = fp.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise EOFError
+    return marshal.loads(data)
 
 
 def _range_count(size: int) -> int:
@@ -701,20 +625,21 @@ def _read_range(read: Callable[[int], bytes], length: int | None, *digests) -> I
         yield chunk
 
 
-def _tally_range(chunks: Iterable[bytes], registry, namespaces) -> CountTable:
-    """The serial path's table of one range's bytes."""
-    pages = _pages(DumpReader(_Chunks(chunks)), namespaces)
-    return tally_scans(_scan_stream(pages, 1), registry)
+def _range_value(chunks: Iterable[bytes], work: _RangeWork, namespaces):
+    """``work`` over the pages of one range's bytes, read as the serial path
+    reads the dump."""
+    reader = DumpReader(_Chunks(chunks))
+    return work(reader, _pages(reader, namespaces))
 
 
 def _part(
-    fd: int, header: bytes, start: int, end: int | None, registry, namespaces, sink: int
+    fd: int, header: bytes, start: int, end: int | None, work: _RangeWork, namespaces, sink: int
 ) -> None:
-    """One forked part: tally ``header`` and then the bytes of the file
-    ``fd`` from ``start`` to ``end`` (its end for None), closed by
-    ``_ROOT_END`` unless the range is the last, and send the SHA-256 of the
-    bytes parsed with the table's fields; or None where they do not parse
-    or cannot be read. It reads with ``pread``, so it never moves the file
+    """One forked part: ``work`` over ``header`` and then the bytes of the
+    file ``fd`` from ``start`` to ``end`` (its end for None), closed by
+    ``_ROOT_END`` unless the range is the last; it sends the SHA-256 of the
+    bytes parsed with the value, or None where they do not parse or cannot
+    be read or written. It reads with ``pread``, so it never moves the file
     offset it shares with the main process."""
     offset = start
 
@@ -732,23 +657,27 @@ def _part(
 
     digest = hashlib.sha256(header)
     try:
-        table = _tally_range(chunks(), registry, namespaces)
-        message = (digest.hexdigest(), tuple(table))
+        value = _range_value(chunks(), work, namespaces)
+        message = (digest.hexdigest(), value)
     except (DumpParseError, OSError):
         message = None
     with os.fdopen(sink, "wb") as fp:
         _send(fp, message)
 
 
-def _split_table(run: _Run, args, registry: JournalRegistry) -> CountTable | None:
-    """``--dump``'s table from ranges of the file tallied at once, one in
-    this process and one in each forked part, joined in page order; its
-    manifest entry is recorded. None where the split does not apply or a
-    range does not parse: then nothing is recorded, and the dump is to be
-    tallied serially. Every part is killed if the split fails or stops
-    early, and always reaped; one that ends without its table is an
-    OutputError, and a range whose bytes differ between its part and this
-    process's digest an InputError."""
+def _split_dump(run: _Run, args, open_range: Callable[[int], _RangeWork]) -> list | None:
+    """``--dump`` read in ranges at once, one in this process and one in
+    each forked part: range ``index``'s reader and pages go to the work
+    that ``open_range(index)`` returns, called here before any part is
+    forked. Returns each range's value in page order, and records the
+    dump's manifest entry. None where the split does not apply or a range
+    does not parse: then nothing is recorded, and the dump is to be read
+    serially. Every part is killed if the split fails or stops early, and
+    always reaped; one that ends without its value is an OutputError, and
+    a range whose bytes differ between its part and this process's digest
+    an InputError."""
+    if args.dump == "-":
+        return None
     namespaces = _parse_namespaces(args.namespaces)
     try:
         info = os.stat(args.dump)
@@ -770,6 +699,7 @@ def _split_table(run: _Run, args, registry: JournalRegistry) -> CountTable | Non
         if not _clean_header(header):
             return None
         ends: list[int | None] = [*starts[1:], None]
+        works = [open_range(index) for index in range(len(starts) + 1)]
         # One CPU for each process: a host that does not balance load would
         # run every part on the CPU of the process that forked it.
         cpus = sorted(affinity)
@@ -777,9 +707,11 @@ def _split_table(run: _Run, args, registry: JournalRegistry) -> CountTable | Non
         for index, (start, end) in enumerate(zip(starts, ends), 1):
             source, sink = os.pipe()
 
-            def part(start=start, end=end, sink=sink, cpu=cpus[index % len(cpus)]) -> None:
+            def part(
+                start=start, end=end, work=works[index], sink=sink, cpu=cpus[index % len(cpus)]
+            ) -> None:
                 os.sched_setaffinity(0, {cpu})
-                _part(fd, header, start, end, registry, namespaces, sink)
+                _part(fd, header, start, end, work, namespaces, sink)
 
             pids.append(_fork(part))
             os.close(sink)
@@ -794,7 +726,7 @@ def _split_table(run: _Run, args, registry: JournalRegistry) -> CountTable | Non
             yield _ROOT_END
 
         try:
-            table = _tally_range(own(), registry, namespaces)
+            values = [_range_value(own(), works[0], namespaces)]
         except DumpParseError:
             return None
         digests = []
@@ -816,17 +748,15 @@ def _split_table(run: _Run, args, registry: JournalRegistry) -> CountTable | Non
                 raise OutputError(f"a dump part ended early (exit status {status})")
             if message is None:
                 return None
-            digest, fields = message
+            digest, value = message
             if digest != digests[index]:
                 raise InputError(
                     f"{args.dump}: bytes {start} to {size if end is None else end} "
                     "changed while the dump was read"
                 )
-            table = merge_in_order(table, CountTable(*fields))
-            if table is None:
-                return None
+            values.append(value)
         run.inputs["dump"] = entry
-        return table
+        return values
     finally:
         for source in sources:
             source.close()

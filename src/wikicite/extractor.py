@@ -7,8 +7,7 @@ length) before scanning, so record spans always index into the original page
 text. Spans are found by jumping between ``{{`` and ``}}`` with one-character
 ``str.find``, and only spans named ``cite journal`` are split into parameters.
 A page's scan has two halves: finding its citations, the work per byte of
-text, and parsing each citation found, the work per citation, which can run
-in another process on the citations' text alone.
+text, and parsing each citation found, the work per citation.
 Counting needs only each citation's journal, so a journal-only scan finds the
 ``journal`` parameter directly and splits a span only when nesting leaves
 that search unsure.
@@ -311,17 +310,16 @@ def find_citations(text: str) -> tuple[str, list[tuple[int, int]], int]:
 
 
 def parse_citations(
-    title: str, text: str, masked: str, citations: list[tuple[int, int]], base: int = 0
+    title: str, text: str, masked: str, citations: list[tuple[int, int]]
 ) -> tuple[list[CitationRecord], int]:
     """The parse half of :func:`scan_page`, its work per citation: each
     span in ``citations`` as a record, and the number of parameters that
-    repeat a key. ``text`` and ``masked`` are the page text and its mask
-    from page offset ``base`` on; the spans are page offsets."""
+    repeat a key. ``text`` and ``masked`` are the page text and its mask."""
     records = []
     duplicates = 0
     for start, end in citations:
-        inner_start = start - base + 2
-        inner_end = end - base - 2
+        inner_start = start + 2
+        inner_end = end - 2
         inner = text[inner_start:inner_end]
         inner_masked = masked[inner_start:inner_end]
         parts = _split_top_level(inner_masked)
@@ -336,26 +334,6 @@ def parse_citations(
         name_raw = inner[: parts[0][1]].strip()
         records.append(CitationRecord(title, name_raw, params, journal_raw, (start, end)))
     return records, duplicates
-
-
-def outermost_citations(
-    citations: list[tuple[int, int]],
-) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """Citation spans in start order, grouped as (start, end, members) under
-    each outermost citation; its members are itself and every citation
-    nested in it. Spans nest or are disjoint, so a span that starts inside
-    the last outermost one lies inside it.
-
-    Such a span's text masks on its own to the page mask's slice: its
-    ``{{`` and ``}}`` were found on the masked page, so no hidden construct
-    covers them, and every construct lies wholly inside or outside it."""
-    groups: list[tuple[int, int, list[tuple[int, int]]]] = []
-    for span in citations:
-        if groups and span[0] < groups[-1][1]:
-            groups[-1][2].append(span)
-        else:
-            groups.append((span[0], span[1], [span]))
-    return groups
 
 
 def scan_page(page: WikiPage, *, journal_only: bool = False) -> PageScan:

@@ -13,7 +13,7 @@ def starter_registry():
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process behind, running or not yet
-    reaped: a command's worker must be gone by the time it returns."""
+    reaped: a command's forked processes must be gone by the time it returns."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -15,8 +15,8 @@ child runs ``wikicite.cli.main(ARGS)``, the function the installed
   The kernel starts it afresh at exec, so unlike the child's ``ru_maxrss``
   it does not carry the RSS of the process that spawned the child;
 - ``children_peak_kb``: ``ru_maxrss`` of the processes main started and
-  waited for, ``extract``'s citation worker or ``count --dump``'s parts; 0
-  where it started none. They are forked, not exec'd, so the figure counts
+  waited for, the parts of a dump command's split; 0 where it started
+  none. They are forked, not exec'd, so the figure counts
   what they share with the child and what they add.
 
 :func:`launch` adds the child's stderr and ``spawned_maxrss_kb``, the

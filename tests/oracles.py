@@ -129,13 +129,26 @@ def mask_hidden_spans_by_walk(text: str) -> str:
     return "".join(out)
 
 
+class _DoctypeRefused:
+    """An ``ElementTree`` parser target that refuses a document type
+    declaration, which ``iterparse`` would read and expand."""
+
+    def doctype(self, name, pubid, system):
+        raise ValueError(f"document type declaration {name!r}")
+
+    def close(self) -> None:
+        pass
+
+
 def pages_by_etree(data: bytes) -> tuple[list[WikiPage], int]:
     """The pages of an export document, and how many were skipped for want
     of a title, read with ``ElementTree.iterparse``. Each ``page`` child of
     the root keeps the text of its ``title`` and ``ns`` children and the
     ``text`` of its last ``revision`` ("" where it has none); a page whose
     ``ns`` is missing or not an integer takes the namespace its title's
-    prefix names. Each page is cleared once read."""
+    prefix names. Each page is cleared once read. A document type
+    declaration is a ValueError, found by a first pass of its own."""
+    ET.XMLParser(target=_DoctypeRefused()).feed(data)
     pages: list[WikiPage] = []
     skipped = 0
     depth = 0

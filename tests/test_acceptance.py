@@ -85,7 +85,7 @@ C2_COMMANDS = {
 def test_c2_streaming_bound_and_linearity(sizes_mb, tmp_path, record_property):
     """``count --dump -`` and ``extract --dump -``, each run as the shipped
     CLI in a child process fed a synthesized dump through a pipe at
-    100 MB / 500 MB / 1 GB: every process, extract's worker included, peaks
+    100 MB / 500 MB / 1 GB: every process, any it forked included, peaks
     under 64 MB plus the largest page; each command's wall time per byte is
     constant within 20 percent; the outputs are not empty, and extract
     writes one record per template that count tallies."""
@@ -97,12 +97,12 @@ def test_c2_streaming_bound_and_linearity(sizes_mb, tmp_path, record_property):
             out = tmp_path / f"{argv[0]}-{size}"
             report = launch([*argv, "--out", str(out)], source)
             bound = budget + source.largest_page_bytes
-            worker = report["children_peak_kb"]
+            forked = report["children_peak_kb"]
             record_property(
                 f"{command} at {size} MB",
                 f"{source.bytes_emitted / report['elapsed_s'] / (1 << 20):.1f} MB/s; peak "
-                f"{report['peak_kb'] / 1024:.1f} MB, worker "
-                + (f"{worker / 1024:.1f} MB" if worker else "none")
+                f"{report['peak_kb'] / 1024:.1f} MB, forked "
+                + (f"{forked / 1024:.1f} MB" if forked else "none")
                 + f"; bound {bound / (1 << 20):.1f} MB",
             )
             # Checked before the next, larger run starts.
@@ -110,7 +110,7 @@ def test_c2_streaming_bound_and_linearity(sizes_mb, tmp_path, record_property):
             manifest = json.loads((out / "manifest.json").read_bytes())
             assert manifest["inputs"]["dump"]["bytes"] == source.bytes_emitted, (command, size)
             assert report["peak_kb"] * 1024 < bound, (command, size, report)
-            assert worker * 1024 < bound, (command, size, report)
+            assert forked * 1024 < bound, (command, size, report)
             rates[command, size] = report["elapsed_s"] / source.bytes_emitted
             outs[command, size] = out
 

@@ -144,13 +144,15 @@ ENTITY_DUMP = (
 )
 def test_document_type_declaration_refused(data, line):
     """MediaWiki exports carry no DTD: one that declares entities, or none,
-    is refused at its line before any page is read."""
+    is refused at its line before any page is read, and by the oracle."""
     reader = open_dump(io.BytesIO(data))
     with pytest.raises(DumpParseError, match="document type declarations are refused") as excinfo:
         next(reader)
     assert excinfo.value.line == line
     assert f"line {line}, column " in str(excinfo.value)
     assert reader.pages_seen == 0
+    with pytest.raises(ValueError, match="document type declaration 'mediawiki'"):
+        pages_by_etree(data)
 
 
 def test_document_order_preserved():

@@ -16,12 +16,9 @@ from wikicite.extractor import (
     JournalRecord,
     _split_top_level,
     clean_journal_value,
-    find_citations,
     find_template_spans,
     mask_hidden_spans,
     normalize_template_name,
-    outermost_citations,
-    parse_citations,
     read_jsonl,
     scan_page,
     write_jsonl,
@@ -607,28 +604,6 @@ _non_ascii_fragments = st.sampled_from(
 def test_scan_page_matches_split_every_template_oracle(text):
     source = page(text)
     assert scan_page(source) == scan_page_by_tokens(source)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_scan_fragments | _non_ascii_fragments | _mask_fragments, max_size=30).map("".join))
-@example("{{cite journal|journal=A<!-- }} -->|b={{cite journal|journal=<nowiki>}}</nowiki>B}}}}")
-@example("{{cite journal|a=<!--|journal=X}} {{cite journal|journal=Y}}-->}} {{cite journal|journal=Z")
-@example("<nowiki a=1/>{{cite journal|x={{cite journal|journal=N}}|journal=<nowiki/>M}}")
-def test_halves_parsed_by_outermost_span_compose_to_scan_page(text):
-    """The find half on the page, then the parse half on each outermost
-    citation's own text, masked on its own, as the worker runs it."""
-    scan = scan_page(page(text))
-    masked, citations, malformed = find_citations(text)
-    assert masked == mask_hidden_spans(text)
-    assert (citations, malformed) == ([r.span for r in scan.records], scan.malformed)
-    records, duplicates = [], 0
-    for start, end, members in outermost_citations(citations):
-        span_masked = mask_hidden_spans(text[start:end])
-        assert span_masked == masked[start:end]
-        found, repeated = parse_citations("Test", text[start:end], span_masked, members, start)
-        records += found
-        duplicates += repeated
-    assert (records, duplicates) == (scan.records, scan.duplicate_params)
 
 
 def _journal_only_matches_oracle(text: str) -> None:
